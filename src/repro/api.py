@@ -27,7 +27,7 @@ drivers need to agree on.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from repro.core.formulation import FormulationConfig, Objective
@@ -252,42 +252,25 @@ def _load_cached(path: Path) -> AllocationResult | None:
 
 
 def config_to_dict(config: FormulationConfig) -> dict:
-    """JSON-safe dump of a :class:`FormulationConfig`."""
-    return {
-        "objective": config.objective.value,
-        "max_transfers": config.max_transfers,
-        "enforce_deadlines": config.enforce_deadlines,
-        "enforce_property3": config.enforce_property3,
-        "backend": config.backend,
-        "time_limit_seconds": config.time_limit_seconds,
-        "mip_gap": config.mip_gap,
-        "presolve": config.presolve,
-        "symmetry_breaking": config.symmetry_breaking,
-    }
+    """JSON-safe dump of every :class:`FormulationConfig` field."""
+    data = {f.name: getattr(config, f.name) for f in fields(FormulationConfig)}
+    data["objective"] = config.objective.value
+    return data
 
 
 def config_from_dict(data: dict) -> FormulationConfig:
-    """Rebuild a :class:`FormulationConfig` from :func:`config_to_dict`."""
-    defaults = FormulationConfig()
-    return FormulationConfig(
-        objective=Objective(data.get("objective", defaults.objective.value)),
-        max_transfers=data.get("max_transfers", defaults.max_transfers),
-        enforce_deadlines=data.get(
-            "enforce_deadlines", defaults.enforce_deadlines
-        ),
-        enforce_property3=data.get(
-            "enforce_property3", defaults.enforce_property3
-        ),
-        backend=data.get("backend", defaults.backend),
-        time_limit_seconds=data.get(
-            "time_limit_seconds", defaults.time_limit_seconds
-        ),
-        mip_gap=data.get("mip_gap", defaults.mip_gap),
-        presolve=data.get("presolve", defaults.presolve),
-        symmetry_breaking=data.get(
-            "symmetry_breaking", defaults.symmetry_breaking
-        ),
-    )
+    """Rebuild a :class:`FormulationConfig` from :func:`config_to_dict`.
+
+    Missing keys take the dataclass defaults; a key that names no field
+    raises ``ValueError`` rather than being dropped.
+    """
+    unknown = set(data) - {f.name for f in fields(FormulationConfig)}
+    if unknown:
+        raise ValueError(f"unknown FormulationConfig field(s) {sorted(unknown)}")
+    values = dict(data)
+    if "objective" in values:
+        values["objective"] = Objective(values["objective"])
+    return FormulationConfig(**values)
 
 
 def request_to_dict(request: SolveRequest) -> dict:

@@ -301,14 +301,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_false",
         help="disable the cutting-plane layer",
     )
-    p_solve.add_argument(
-        "--parallel-bnb",
-        type=_positive_int,
-        default=None,
-        metavar="N",
-        help="run the bnb rung's tree search across N worker processes "
-        "(default: serial; see docs/performance.md for when this wins)",
-    )
 
     p_serve = sub.add_parser(
         "serve",
@@ -937,7 +929,6 @@ def _dispatch(args, client) -> int:
             cache=args.cache_dir,
             telemetry=args.telemetry,
             cuts=args.cuts,
-            parallel=args.parallel_bnb,
         )
         print(result.summary())
         for memory_id, layout in result.layouts.items():

@@ -104,9 +104,6 @@ class FormulationConfig:
             (:mod:`repro.milp.cuts`): transfer-ladder optimality proofs
             for MIN_TRANSFERS and cutting planes in the ``bnb``
             backend.  Answer-preserving, so excluded from cache keys.
-        parallel: Worker processes for the ``bnb`` backend's
-            frontier-split tree search (None or <=1 keeps the search
-            in-process).  Affects speed only, never the answer.
     """
 
     objective: Objective = Objective.NONE
@@ -119,7 +116,6 @@ class FormulationConfig:
     presolve: bool = True
     symmetry_breaking: bool = True
     cuts: bool = DEFAULT_CUTS
-    parallel: int | None = None
 
 
 class LetDmaFormulation:
@@ -640,12 +636,10 @@ class LetDmaFormulation:
         presolve: bool | None = None,
         start: dict | None = None,
         cuts: bool | None = None,
-        parallel: int | None = None,
     ):
         """Solve the MILP and extract an :class:`AllocationResult`.
 
-        ``backend``, ``presolve``, ``cuts``, and ``parallel`` override
-        their ``config`` counterparts so one built formulation (and its
+        ``backend``, ``presolve``, and ``cuts`` override their ``config`` counterparts so one built formulation (and its
         cached presolve and standard form) can be solved by several
         portfolio rungs without rebuilding the model.  ``start`` is an
         optional warm start (a complete ``{Var: value}`` assignment,
@@ -662,6 +656,5 @@ class LetDmaFormulation:
             presolve=self.config.presolve if presolve is None else presolve,
             start=start,
             cuts=self.config.cuts if cuts is None else cuts,
-            parallel=self.config.parallel if parallel is None else parallel,
         )
         return extract_result(self, solution)

@@ -20,7 +20,6 @@ __all__ = [
     "DEFAULT_MIP_GAP",
     "DEFAULT_MILP_BACKEND",
     "DEFAULT_CUTS",
-    "DEFAULT_PARALLEL_WORKERS",
     "DEFAULT_SOLVE_BACKEND",
     "DEFAULT_PORTFOLIO",
     "DEFAULT_CACHE_DIR",
@@ -57,11 +56,6 @@ DEFAULT_MILP_BACKEND: str = "highs"
 #: is answer-preserving, so it is on by default and excluded from the
 #: persistent cache key.
 DEFAULT_CUTS: bool = True
-
-#: Worker processes of one parallel branch-and-bound rung
-#: (``--parallel-bnb``).  Subtrees are farmed out at a frontier split;
-#: 2 keeps the coordinator + workers within small-machine budgets.
-DEFAULT_PARALLEL_WORKERS: int = 2
 
 #: The backend of :func:`repro.solve`: the graceful-degradation
 #: portfolio (HiGHS, then pure-Python branch and bound, then the greedy

@@ -194,6 +194,10 @@ def result_to_dict(result: AllocationResult) -> dict:
         "best_bound": result.best_bound,
         "mip_gap": result.mip_gap,
         "node_count": result.node_count,
+        "num_variables": result.num_variables,
+        "num_constraints": result.num_constraints,
+        "cuts_added": result.cuts_added,
+        "cut_rounds": result.cut_rounds,
         "warm_start": result.warm_start,
         "fallback_chain": [
             attempt.to_dict() for attempt in result.fallback_chain
@@ -275,6 +279,10 @@ def result_from_dict(data: dict) -> AllocationResult:
         best_bound=data.get("best_bound"),
         mip_gap=data.get("mip_gap"),
         node_count=int(data.get("node_count", 0)),
+        num_variables=int(data.get("num_variables", 0)),
+        num_constraints=int(data.get("num_constraints", 0)),
+        cuts_added=int(data.get("cuts_added", 0)),
+        cut_rounds=int(data.get("cut_rounds", 0)),
         warm_start=data.get("warm_start", "none"),
         fallback_chain=tuple(
             FallbackAttempt.from_dict(entry)

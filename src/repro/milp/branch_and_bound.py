@@ -252,10 +252,6 @@ class _Search:
         self.seeded = False
         self.incumbent_obj = math.inf
         self.incumbent_x: np.ndarray | None = None
-        #: Cross-process incumbent objective (``multiprocessing.Value``
-        #: or None); set by the parallel coordinator so workers prune
-        #: against each other's incumbents.
-        self.shared_best = None
         #: (bound, -seq, chain, branch_info); chain is a parent-linked
         #: tuple (parent_chain, idx, lower, upper) or None at the root.
         self.heap: list = []
@@ -304,18 +300,9 @@ class _Search:
     def _gap_reached(self) -> bool:
         return self.mip_gap is not None and self.current_gap() <= self.mip_gap
 
-    def _best_obj(self) -> float:
-        """Best incumbent objective known locally or via the shared
-        cross-process incumbent (parallel subtree search)."""
-        best = self.incumbent_obj
-        shared = self.shared_best
-        if shared is not None and shared.value < best:
-            best = shared.value
-        return best
-
     def _cutoff(self) -> float:
         """Nodes with bound above this cannot improve the incumbent."""
-        best = self._best_obj()
+        best = self.incumbent_obj
         slack = 1e-9
         if self.mip_gap is not None and math.isfinite(best):
             slack = max(slack, self.mip_gap * max(1.0, abs(best)))
@@ -361,11 +348,6 @@ class _Search:
             self.incumbent_obj = objective
             self.incumbent_x = x
             self.counters.found_incumbent()
-            shared = self.shared_best
-            if shared is not None:
-                with shared.get_lock():
-                    if objective < shared.value:
-                        shared.value = objective
 
     def seed_incumbent(self, x: "np.ndarray | None") -> None:
         """Install a pre-validated warm start as the initial incumbent.
@@ -638,30 +620,25 @@ class _Search:
 
     # -- main loop ------------------------------------------------------
 
-    def run(self, max_open: int | None = None) -> None:
-        """Run the search to completion, a limit, or — when
-        ``max_open`` is given — until the heap holds that many open
-        nodes (the parallel coordinator's frontier split point)."""
+    def run(self) -> None:
+        """Run the search to completion or a limit."""
         if self._out_of_time():
             return
-        if self.root_bound == -math.inf:
-            root = self._solve_lp(self.problem.base_lower, self.problem.base_upper)
+        root = self._solve_lp(self.problem.base_lower, self.problem.base_upper)
+        if root is None:
+            return  # LP infeasible => MILP infeasible
+        objective, x = root
+        self.root_bound = objective
+        if self.cut_source is not None:
+            root = self._root_cut_loop(objective, x)
             if root is None:
-                return  # LP infeasible => MILP infeasible
+                return
             objective, x = root
-            self.root_bound = objective
-            if self.cut_source is not None:
-                root = self._root_cut_loop(objective, x)
-                if root is None:
-                    return
-                objective, x = root
-            if self.seeded:
-                self._seed_pseudo_costs(objective, x)
-            self._process(objective, x, None, dive=self.incumbent_x is None)
+        if self.seeded:
+            self._seed_pseudo_costs(objective, x)
+        self._process(objective, x, None, dive=self.incumbent_x is None)
         while self.heap:
             if self._out_of_time() or self._gap_reached():
-                return
-            if max_open is not None and len(self.heap) >= max_open:
                 return
             bound, _, chain, branch_info = heapq.heappop(self.heap)
             self.popped_bound = max(self.popped_bound, bound)

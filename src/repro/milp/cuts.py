@@ -52,7 +52,6 @@ from ~14 s to seconds).
 from __future__ import annotations
 
 import itertools
-import math
 import time
 
 import numpy as np
@@ -69,7 +68,6 @@ __all__ = [
     "CutEngine",
     "ReducedCutSource",
     "apply_cuts",
-    "strengthen_model",
     "solve_with_cut_layer",
 ]
 
@@ -1107,47 +1105,6 @@ def apply_cuts(model, cuts) -> int:
     return added
 
 
-def strengthen_model(formulation, rounds: int = 4) -> tuple[int, int]:
-    """Tighten a formulation in place with static + root-separated cuts.
-
-    This is the "LP handed to HiGHS" path: the appended ``CUT_*`` rows
-    survive into presolve and the scipy/HiGHS solve.  Returns
-    ``(cuts_added, separation_rounds)``.  Used by the
-    ``solve_highs_waters_cuts`` bench scenario; the rows are permanent,
-    so call it on a formulation you own.
-    """
-    from repro.milp.branch_and_bound import _standard_form
-
-    model = formulation.model
-    hints = structure_hints(model)
-    if hints is None:
-        return 0, 0
-    bound = transfer_lower_bound(hints) if _is_min_transfers(hints) else None
-    engine = CutEngine(hints, bound)
-    added = apply_cuts(model, engine.static_cuts())
-    seen = {cut.name for cut in engine.static_cuts()}
-    rounds_run = 0
-    for _ in range(rounds):
-        problem = _standard_form(model)
-        solved = problem.solve_relaxation_bounds(
-            problem.base_lower, problem.base_upper
-        )
-        if solved is None:
-            break
-        _, x = solved
-        rounds_run += 1
-        fresh = [
-            cut
-            for cut in engine.separate(lambda var: float(x[var.index]))
-            if cut.name not in seen
-        ]
-        if not fresh:
-            break
-        seen.update(cut.name for cut in fresh)
-        added += apply_cuts(model, fresh)
-    return added, rounds_run
-
-
 # ----------------------------------------------------------------------
 # Transfer ladder
 # ----------------------------------------------------------------------
@@ -1196,12 +1153,12 @@ def _solve_stage(
     deadline,
     mip_gap,
     presolve,
-    parallel,
     start,
 ) -> Solution:
     """Feasibility probe: is there a solution using at most ``k``
     transfers?  Bounds, objective, and appended cut rows are restored
     before returning, whatever happens."""
+    from repro.milp.branch_and_bound import solve_with_branch_and_bound
     from repro.milp.presolve import presolve_model
     from repro.milp.scipy_backend import solve_with_highs
 
@@ -1229,19 +1186,19 @@ def _solve_stage(
                     presolved.reduced, budget, mip_gap, start=inner_start
                 )
             else:
-                inner = _dispatch_bnb(
+                inner = solve_with_branch_and_bound(
                     presolved.reduced,
                     budget,
                     mip_gap,
-                    inner_start,
-                    ReducedCutSource(engine, presolved),
-                    parallel,
+                    start=inner_start,
+                    cut_source=ReducedCutSource(engine, presolved),
                 )
             return presolved.restore(inner)
         if backend == "highs":
             return solve_with_highs(model, budget, mip_gap, start=start)
-        return _dispatch_bnb(
-            model, budget, mip_gap, start, ReducedCutSource(engine), parallel
+        return solve_with_branch_and_bound(
+            model, budget, mip_gap, start=start,
+            cut_source=ReducedCutSource(engine),
         )
     finally:
         del model.constraints[n_constraints:]
@@ -1249,25 +1206,6 @@ def _solve_stage(
         for var, lower, upper in saved_bounds:
             var.lower = lower
             var.upper = upper
-
-
-def _dispatch_bnb(model, budget, mip_gap, start, cut_source, parallel):
-    if parallel is not None and parallel > 1:
-        from repro.milp.parallel import solve_parallel_branch_and_bound
-
-        return solve_parallel_branch_and_bound(
-            model,
-            num_workers=parallel,
-            time_limit_seconds=budget,
-            mip_gap=mip_gap,
-            start=start,
-            cut_source=cut_source,
-        )
-    from repro.milp.branch_and_bound import solve_with_branch_and_bound
-
-    return solve_with_branch_and_bound(
-        model, budget, mip_gap, start=start, cut_source=cut_source
-    )
 
 
 def _count_transfers(hints, values) -> int:
@@ -1283,7 +1221,6 @@ def solve_with_cut_layer(
     mip_gap: "float | None" = None,
     presolve: bool = True,
     start: "dict | None" = None,
-    parallel: "int | None" = None,
 ) -> "Solution | None":
     """The exact transfer ladder for MIN_TRANSFERS formulations.
 
@@ -1393,8 +1330,7 @@ def solve_with_cut_layer(
                 model, hints, start_values, start_transfers, proven_below, begin
             )
         stage = _solve_stage(
-            model, hints, engine, k, backend, deadline, mip_gap, presolve,
-            parallel, start,
+            model, hints, engine, k, backend, deadline, mip_gap, presolve, start
         )
         if stage.status.has_solution:
             objective = float(k - 1)

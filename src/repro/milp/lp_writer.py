@@ -14,11 +14,6 @@ Gurobi, SCIP, and HiGHS: objective, ``Subject To``, ``Bounds``,
 ``General``/``Binary`` sections.  Variable names are sanitized to the
 LP identifier character set (a reverse mapping is returned for tools
 that post-process solutions).
-
-A model strengthened by :func:`repro.milp.cuts.strengthen_model`
-carries its cutting planes as ordinary ``CUT_*`` rows; they are
-exported like any other constraint, set off by a comment line, so the
-tightened formulation round-trips to external solvers too.
 """
 
 from __future__ import annotations
@@ -80,15 +75,7 @@ def lp_string(model: MilpModel) -> str:
     lines.append(" obj: " + _format_expr(model.objective, names))
 
     lines.append("Subject To")
-    cut_marker_emitted = False
     for index, constraint in enumerate(model.constraints):
-        if (
-            not cut_marker_emitted
-            and constraint.name
-            and constraint.name.startswith("CUT_")
-        ):
-            lines.append("\\ cutting planes (repro.milp.cuts)")
-            cut_marker_emitted = True
         label = constraint.name or f"c{index}"
         label = re.sub(r"[^A-Za-z0-9_]", "_", label)
         rhs = -constraint.expr.constant

@@ -241,7 +241,6 @@ class MilpModel:
         presolve: bool = True,
         start: dict | None = None,
         cuts: bool | None = None,
-        parallel: int | None = None,
         _cut_source=None,
     ) -> Solution:
         """Solve the model.
@@ -273,9 +272,6 @@ class MilpModel:
                 :data:`repro.defaults.DEFAULT_CUTS` and is excluded
                 from result cache keys.  Models without structure hints
                 solve exactly as before.
-            parallel: Worker-process count for the ``bnb`` backend's
-                frontier-split tree search (None or <=1 solves
-                in-process).  Ignored by ``highs``.
             _cut_source: Internal — a pre-built separation adapter for
                 the recursive post-presolve call.
         """
@@ -294,7 +290,6 @@ class MilpModel:
                 mip_gap=mip_gap,
                 presolve=presolve,
                 start=start,
-                parallel=parallel,
             )
             if layered is not None:
                 return layered
@@ -323,7 +318,6 @@ class MilpModel:
                 presolve=False,
                 start=presolved.translate_start(start) if start else None,
                 cuts=False,
-                parallel=parallel,
                 _cut_source=cut_source,
             )
             return presolved.restore(inner)
@@ -334,17 +328,6 @@ class MilpModel:
         cut_source = _cut_source
         if cut_source is None and use_cuts:
             cut_source = self._build_cut_source(None)
-        if parallel is not None and parallel > 1:
-            from repro.milp.parallel import solve_parallel_branch_and_bound
-
-            return solve_parallel_branch_and_bound(
-                self,
-                num_workers=parallel,
-                time_limit_seconds=time_limit_seconds,
-                mip_gap=mip_gap,
-                start=start,
-                cut_source=cut_source,
-            )
         from repro.milp.branch_and_bound import solve_with_branch_and_bound
 
         return solve_with_branch_and_bound(

@@ -13,7 +13,26 @@ every ``multiprocessing`` start method (fork, forkserver, spawn).
 
 from __future__ import annotations
 
-__all__ = ["solve_rung_entry", "solve_subtree_entry"]
+__all__ = ["rung_solve_args", "solve_rung_entry"]
+
+
+def rung_solve_args(rung: str, config) -> dict:
+    """The :meth:`~repro.core.formulation.LetDmaFormulation.solve`
+    keyword arguments of a MILP rung named ``"<backend>[-<variant>]"``.
+
+    ``-nopresolve`` skips presolve and ``-nocuts`` disables the cut
+    layer; an unknown variant raises ``ValueError``.  The in-process
+    portfolio and the sandbox child both parse rungs here, so the two
+    paths accept and reject exactly the same names.
+    """
+    backend, _, variant = rung.partition("-")
+    if variant not in ("", "nopresolve", "nocuts"):
+        raise ValueError(f"unknown portfolio rung {rung!r}")
+    return {
+        "backend": backend,
+        "presolve": config.presolve and variant != "nopresolve",
+        "cuts": False if variant == "nocuts" else None,
+    }
 
 
 def solve_rung_entry(payload: dict):
@@ -47,11 +66,8 @@ def solve_rung_entry(payload: dict):
 
     app = payload["app"]
     config = payload["config"]
-    rung = payload["rung"]
-    backend, _, variant = rung.partition("-")
-    if variant not in ("", "nopresolve", "nocuts", "parallel"):
-        raise ValueError(f"unknown portfolio rung {rung!r}")
-    formulation = LetDmaFormulation(app, replace(config, backend=backend))
+    args = rung_solve_args(payload["rung"], config)
+    formulation = LetDmaFormulation(app, replace(config, backend=args["backend"]))
     start = None
     start_values = payload.get("start_values")
     if start_values:
@@ -63,88 +79,4 @@ def solve_rung_entry(payload: dict):
         }
         if len(start) != len(start_values):
             start = None  # structure drifted; a partial start is not a start
-    presolve = config.presolve and variant != "nopresolve"
-    cuts = None if variant != "nocuts" else False
-    parallel = None
-    if variant == "parallel":
-        from repro.defaults import DEFAULT_PARALLEL_WORKERS
-
-        parallel = DEFAULT_PARALLEL_WORKERS
-    return formulation.solve(
-        backend=backend,
-        presolve=presolve,
-        start=start,
-        cuts=cuts,
-        parallel=parallel,
-    )
-
-
-def solve_subtree_entry(
-    worker_id: int,
-    search,
-    nodes: list,
-    shared_best,
-    result_queue,
-) -> None:
-    """Explore one frontier bucket inside a forked worker process.
-
-    Unlike :func:`solve_rung_entry`, this entry is **fork-only**: the
-    coordinator (:mod:`repro.milp.parallel`) passes a live, phase-1
-    :class:`~repro.milp.branch_and_bound._Search` (standard form, cut
-    pool, pseudo-cost history and all) that the child inherits by
-    copy-on-write — ``Var`` identity does not survive pickling, and
-    nothing here needs it to.  The worker re-heaps its assigned frontier
-    ``nodes``, prunes against the cross-process ``shared_best``
-    incumbent, runs to exhaustion or the deadline, and reports plain
-    arrays/scalars (never model objects) through ``result_queue``.
-    """
-    import heapq
-    import math
-
-    from repro.milp.branch_and_bound import _Counters
-
-    counters = _Counters()
-    search.counters = counters
-    search.shared_best = shared_best
-    search.heap = list(nodes)
-    heapq.heapify(search.heap)
-    # Keep the inherited phase-1 ``seq`` counter: it is already past
-    # every frontier node's sequence number, so fresh pushes can never
-    # tie an inherited node's ``(bound, -seq)`` heap key (a tie would
-    # fall through to comparing bound chains, which are not ordered).
-    # A worker discovers only what beats the shared incumbent; the
-    # phase-1 incumbent itself is already held by the coordinator.
-    search.incumbent_obj = math.inf
-    search.incumbent_x = None
-    search.seeded = False
-    search.run()
-    exhausted = not search.open_nodes() and not search.hit_limit
-    if exhausted:
-        # Fully explored: any point in this subtree is no better than
-        # the shared incumbent (modulo the pruning slack), so the
-        # subtree imposes no dual-bound ceiling of its own.
-        dual = math.inf
-    else:
-        dual = search.dual_bound()
-    result_queue.put(
-        {
-            "worker_id": worker_id,
-            "incumbent_obj": search.incumbent_obj,
-            "incumbent_x": (
-                None
-                if search.incumbent_x is None
-                else search.incumbent_x.tolist()
-            ),
-            "dual": dual,
-            "exhausted": exhausted,
-            "hit_limit": search.hit_limit,
-            "nodes": counters.nodes,
-            "lp_calls": counters.lp_calls,
-            "cuts_added": counters.cuts_added,
-            "cut_rounds": counters.cut_rounds,
-            "pc_down_sum": search.pc_down_sum.tolist(),
-            "pc_down_cnt": search.pc_down_cnt.tolist(),
-            "pc_up_sum": search.pc_up_sum.tolist(),
-            "pc_up_cnt": search.pc_up_cnt.tolist(),
-        }
-    )
+    return formulation.solve(start=start, **args)

@@ -63,16 +63,11 @@ BENCH_SCHEMA_VERSION = 1
 #:   certificates must keep the full WATERS model inside its budget,
 #:   and the branch-and-bound solve must additionally *prove* its
 #:   optimum (``not_optimal`` = 0).
-#: * ``solve_bnb_parallel_synth5`` gates ``parallel_mismatch``: the
-#:   frontier-split parallel search must prove the same optimum as the
-#:   serial search (the speedup itself is machine-dependent and only
-#:   tracked, never gated — see docs/performance.md).
 METRIC_GATES: dict[str, tuple[tuple[str, float], ...]] = {
     "solve_warm_waters_delta": (("fraction_of_cold", 0.10),),
     "solve_sandboxed_waters": (("overhead_fraction", 0.05),),
     "solve_highs_waters": (("budget_fraction", 1.0),),
     "solve_bnb_waters": (("budget_fraction", 1.0), ("not_optimal", 0.0)),
-    "solve_bnb_parallel_synth5": (("parallel_mismatch", 0.0),),
 }
 
 #: Repo-relative location of the tracked baseline.

@@ -175,108 +175,6 @@ def _bench_solve(
     return metrics
 
 
-def _bench_solve_highs_waters_cuts() -> dict:
-    """Root-strengthened HiGHS solve of WATERS.
-
-    Measures the *cut machinery itself* — static cuts plus root
-    separation rounds made permanent by
-    :func:`repro.milp.cuts.strengthen_model`, then one plain HiGHS
-    solve of the tightened model (the transfer ladder and its
-    combinatorial certificates are deliberately bypassed, so this
-    scenario tracks how much the rows alone buy over the untouched
-    formulation).
-    """
-    from repro.milp.cuts import strengthen_model
-
-    formulation = _waters_formulation()
-    start = time.perf_counter()
-    cuts_added, cut_rounds = strengthen_model(formulation)
-    strengthen_seconds = time.perf_counter() - start
-    solution = formulation.model.solve(
-        backend="highs", time_limit_seconds=_SOLVE_BUDGET_SECONDS, cuts=False
-    )
-    wall = time.perf_counter() - start
-    metrics = _solve_metrics(solution, wall)
-    metrics["cuts_added"] = cuts_added
-    metrics["cut_rounds"] = cut_rounds
-    metrics["strengthen_seconds"] = strengthen_seconds
-    return metrics
-
-
-#: Memoized serial reference of the parallel-search scenario: the
-#: serial arm does not change between repeats, and the scenario's
-#: point is the parallel arm and the serial-vs-parallel agreement.
-_parallel_bnb_cache: dict = {}
-
-
-def _parallel_bnb_formulation():
-    from repro.core.formulation import FormulationConfig, LetDmaFormulation, Objective
-    from repro.workloads import WorkloadSpec, generate_application
-
-    app = generate_application(
-        WorkloadSpec(
-            num_tasks=5,
-            num_cores=2,
-            total_utilization=0.5,
-            communication_density=0.4,
-            periods_ms=(5, 10, 20),
-            seed=5,
-        )
-    )
-    return LetDmaFormulation(
-        app, FormulationConfig(objective=Objective.MIN_TRANSFERS)
-    )
-
-
-def _bench_solve_bnb_parallel() -> dict:
-    """Frontier-split parallel branch and bound vs the serial search.
-
-    Both arms disable the cut layer (``cuts=False``) so they race on
-    the same raw tree — with cuts on, the transfer-ladder certificate
-    solves this instance in milliseconds and neither search runs.
-    ``parallel_mismatch`` is the gated invariant (both arms must prove
-    the same optimum); ``speedup_vs_serial`` is reported honestly and
-    is machine-dependent — on a single-core host the fork overhead
-    makes it < 1 (see docs/performance.md).
-    """
-    from repro.defaults import DEFAULT_PARALLEL_WORKERS
-
-    formulation = _parallel_bnb_formulation()
-    if "serial" not in _parallel_bnb_cache:
-        start = time.perf_counter()
-        serial = formulation.model.solve(
-            backend="bnb", time_limit_seconds=_SOLVE_BUDGET_SECONDS, cuts=False
-        )
-        _parallel_bnb_cache["serial"] = (
-            time.perf_counter() - start,
-            serial.status.value,
-            serial.objective,
-        )
-    serial_seconds, serial_status, serial_objective = _parallel_bnb_cache["serial"]
-    start = time.perf_counter()
-    solution = formulation.model.solve(
-        backend="bnb",
-        time_limit_seconds=_SOLVE_BUDGET_SECONDS,
-        cuts=False,
-        parallel=DEFAULT_PARALLEL_WORKERS,
-    )
-    wall = time.perf_counter() - start
-    metrics = _solve_metrics(solution, wall)
-    agree = (
-        solution.status.value == "optimal"
-        and serial_status == "optimal"
-        and solution.objective is not None
-        and serial_objective is not None
-        and abs(solution.objective - serial_objective) <= 1e-6
-    )
-    metrics["workers"] = DEFAULT_PARALLEL_WORKERS
-    metrics["serial_seconds"] = serial_seconds
-    metrics["serial_objective"] = serial_objective
-    metrics["speedup_vs_serial"] = serial_seconds / wall if wall else 0.0
-    metrics["parallel_mismatch"] = 0.0 if agree else 1.0
-    return metrics
-
-
 def _bench_sim_waters() -> dict:
     from repro.core.heuristic import greedy_allocation
     from repro.sim.engine import simulate
@@ -608,18 +506,6 @@ SCENARIOS: tuple[BenchScenario, ...] = (
         description="Branch and bound on the full WATERS model "
         "(cut layer on; gated OPTIMAL within the 120 s budget)",
         run=lambda: _bench_solve("bnb", None),
-    ),
-    BenchScenario(
-        name="solve_highs_waters_cuts",
-        description="Root-strengthened HiGHS on WATERS (cut rows only, "
-        "no transfer ladder)",
-        run=_bench_solve_highs_waters_cuts,
-    ),
-    BenchScenario(
-        name="solve_bnb_parallel_synth5",
-        description="Frontier-split parallel branch and bound vs serial "
-        "on a 5-task instance (gated on serial == parallel)",
-        run=_bench_solve_bnb_parallel,
     ),
 )
 

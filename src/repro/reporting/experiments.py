@@ -59,7 +59,6 @@ def solve_instance(
     cache: str | None = None,
     telemetry=None,
     cuts: bool | None = None,
-    parallel: int | None = None,
 ):
     """Assign gammas for ``alpha``, solve via :func:`repro.solve`,
     optionally verify.
@@ -68,17 +67,14 @@ def solve_instance(
     is skipped for greedy-produced results: the heuristic guarantees
     Properties 1 and 2 by construction but does not optimize for
     deadlines/Property 3, which is exactly why it is a *degraded*
-    portfolio rung.  ``cuts``/``parallel`` override the formulation
-    defaults for the cut layer and the parallel tree search (None
-    keeps :mod:`repro.defaults`).
+    portfolio rung.  ``cuts`` overrides the formulation default for the
+    cut layer (None keeps :mod:`repro.defaults`).
     """
     base = app if app is not None else waters_application()
     configured = assign_acquisition_deadlines(base, alpha)
     overrides = {}
     if cuts is not None:
         overrides["cuts"] = cuts
-    if parallel is not None:
-        overrides["parallel"] = parallel
     config = FormulationConfig(
         objective=objective,
         time_limit_seconds=time_limit_seconds,

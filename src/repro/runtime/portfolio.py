@@ -14,10 +14,8 @@ outcome instead of raising or handing back an empty result:
    construction; deadlines/Property 3 must be re-checked).
 
 A MILP rung may carry a variant suffix: ``-nopresolve`` skips the
-answer-preserving presolve pass, ``-nocuts`` disables the cut layer
-(:mod:`repro.milp.cuts`), and ``-parallel`` runs the ``bnb`` rung's
-tree search across worker processes.  All variants are
-answer-preserving; the ``-no*`` forms exist mainly for the
+answer-preserving presolve pass and ``-nocuts`` disables the cut
+layer (:mod:`repro.milp.cuts`).  Both exist mainly for the
 differential harness (:mod:`repro.check`), which cross-checks each
 optimization against the untouched solve path.
 
@@ -48,6 +46,7 @@ from repro.core.heuristic import greedy_allocation
 from repro.core.solution import AllocationResult, FallbackAttempt
 from repro.defaults import DEFAULT_PORTFOLIO
 from repro.milp.result import SolveStatus
+from repro.milp.worker import rung_solve_args
 from repro.model.application import Application
 from repro.resilience.sandbox import BackendFailure, run_rung_sandboxed
 
@@ -247,27 +246,14 @@ def _run_rung(
         result = greedy_allocation(app)
         result.runtime_seconds = time.perf_counter() - start
         return result
-    backend, _, variant = rung.partition("-")
-    if variant not in ("", "nopresolve", "nocuts", "parallel"):
-        raise ValueError(f"unknown portfolio rung {rung!r}")
+    args = rung_solve_args(rung, config)
     formulation = shared.get("formulation")
     if formulation is None:
-        formulation = LetDmaFormulation(app, replace(config, backend=backend))
+        formulation = LetDmaFormulation(
+            app, replace(config, backend=args["backend"])
+        )
         shared["formulation"] = formulation
-    presolve = config.presolve and variant != "nopresolve"
-    cuts = False if variant == "nocuts" else None
-    parallel = None
-    if variant == "parallel":
-        from repro.defaults import DEFAULT_PARALLEL_WORKERS
-
-        parallel = DEFAULT_PARALLEL_WORKERS
-    return formulation.solve(
-        backend=backend,
-        presolve=presolve,
-        start=shared.get("start"),
-        cuts=cuts,
-        parallel=parallel,
-    )
+    return formulation.solve(start=shared.get("start"), **args)
 
 
 def _run_rung_sandboxed(

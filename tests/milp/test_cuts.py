@@ -16,7 +16,6 @@ from repro.milp.cuts import (
     _FEAS_TOL,
     CutEngine,
     apply_cuts,
-    strengthen_model,
     structure_hints,
     transfer_lower_bound,
 )
@@ -163,37 +162,6 @@ class TestCutLayerSolve:
         assert [(v.lower, v.upper) for v in model.variables] == bounds_before
         assert model.objective is objective_before
         assert not any(c.name.startswith("CUT_") for c in model.constraints)
-
-
-class TestStrengthenModel:
-    def test_adds_permanent_rows_and_preserves_answer(self):
-        reference = _synthetic_formulation(1)
-        plain = reference.model.solve(backend="highs", cuts=False)
-
-        formulation = _synthetic_formulation(1)
-        rows_before = formulation.model.num_constraints
-        cuts_added, rounds_run = strengthen_model(formulation)
-        assert cuts_added >= 1
-        assert rounds_run >= 0
-        cut_rows = [
-            c for c in formulation.model.constraints if c.name.startswith("CUT_")
-        ]
-        assert len(cut_rows) == cuts_added
-        assert formulation.model.num_constraints == rows_before + cuts_added
-
-        strengthened = formulation.model.solve(backend="highs", cuts=False)
-        assert strengthened.status is plain.status
-        if plain.status is SolveStatus.OPTIMAL:
-            assert strengthened.objective == pytest.approx(plain.objective)
-
-    def test_lp_writer_marks_cut_section(self):
-        formulation = _synthetic_formulation(1)
-        strengthen_model(formulation)
-        from repro.milp.lp_writer import lp_string
-
-        text = lp_string(formulation.model)
-        assert "\\ cutting planes (repro.milp.cuts)" in text
-        assert "CUT_" in text
 
     def test_plain_model_is_a_noop(self):
         from repro.milp import MilpModel

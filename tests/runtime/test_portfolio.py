@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import FormulationConfig, verify_allocation
 from repro.milp import SolveStatus
+from repro.milp.worker import solve_rung_entry
 from repro.runtime import PORTFOLIO_RUNGS, solve_with_portfolio
 
 pytestmark = pytest.mark.runtime
@@ -87,3 +88,15 @@ class TestContract:
             rungs=("highs",),
         )
         assert result.backend == "highs"
+
+    @pytest.mark.parametrize("rung", ["highs-bogus", "bnb-parallel"])
+    def test_unknown_variant_rejected_alike_in_process_and_sandbox(
+        self, simple_app, rung
+    ):
+        config = FormulationConfig()
+        with pytest.raises(ValueError) as in_process:
+            solve_with_portfolio(simple_app, config, rungs=(rung,))
+        with pytest.raises(ValueError) as sandboxed:
+            solve_rung_entry({"app": simple_app, "config": config, "rung": rung})
+        assert str(in_process.value) == str(sandboxed.value)
+        assert rung in str(in_process.value)
