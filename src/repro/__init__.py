@@ -48,7 +48,7 @@ Package map:
   points, graceful-degradation policies, robustness reports, and the
   ``letdma chaos`` campaign grids;
 * :mod:`repro.service`   — solve-as-a-service: content-addressed job
-  queue, request dedup, sharded workers, live metrics, and the
+  queue, request dedup, FIFO dispatchers, live metrics, and the
   in-process/socket clients behind ``letdma serve``;
 * :mod:`repro.reporting` — experiment drivers and text tables/figures.
 """

@@ -5,7 +5,7 @@
 1. draws ``budget`` randomized applications from
    :func:`repro.workloads.random_spec` (deterministic in ``seed``);
 2. fans every (instance, backend) solve out through
-   :class:`repro.runtime.ExperimentRunner` — the same process-pool,
+   :class:`repro.runtime.ExperimentRunner` — the same solve-service,
    fault-tolerance, and JSONL-telemetry machinery the experiment grids
    use, so ``--jobs`` and ``--telemetry`` behave identically here;
 3. feeds each instance's results to the agreement rules of

@@ -39,8 +39,9 @@ spells the same knob the same way and reads its default from
 * ``--backend`` — one flag, per-command default (``solve`` defaults to
   the exact backend, grids to the portfolio);
 * ``--service HOST:PORT`` — submit the grid's solves to a running
-  ``letdma serve`` instead of a private worker pool, so concurrent
-  campaigns deduplicate identical instances against each other.
+  ``letdma serve`` instead of a solve service opened for the run, so
+  concurrent campaigns deduplicate identical instances against each
+  other.
 
 Exit codes (one contract for every command):
 
@@ -64,7 +65,6 @@ import sys
 
 from repro.core import Objective
 from repro.defaults import (
-    DEFAULT_BATCH_MAX,
     DEFAULT_BREAKER_COOLDOWN_SECONDS,
     DEFAULT_BREAKER_THRESHOLD,
     DEFAULT_CACHE_DIR,
@@ -155,7 +155,8 @@ def _grid_parent() -> argparse.ArgumentParser:
         "--jobs",
         type=_positive_int,
         default=1,
-        help="worker processes for the solve grid (default: 1)",
+        help="dispatchers (and, above 1, worker processes) of the solve "
+        "grid's in-process service (default: 1)",
     )
     parent.add_argument(
         "--telemetry",
@@ -200,7 +201,7 @@ def _service_parent() -> argparse.ArgumentParser:
         default=None,
         metavar="HOST:PORT",
         help="submit solves to a running `letdma serve` at HOST:PORT "
-        "instead of a private worker pool (concurrent campaigns then "
+        "instead of a service opened for the run (concurrent campaigns then "
         "deduplicate identical instances against each other)",
     )
     return parent
@@ -322,8 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--shards",
         type=_positive_int,
         default=DEFAULT_SERVICE_SHARDS,
-        help="worker lanes, each owning a slice of the instance-hash "
-        f"space (default: {DEFAULT_SERVICE_SHARDS})",
+        help="dispatchers serving the one FIFO queue, one job at a time "
+        f"each (pool slots with --processes; default: {DEFAULT_SERVICE_SHARDS})",
     )
     p_serve.add_argument(
         "--queue-capacity",
@@ -333,17 +334,10 @@ def build_parser() -> argparse.ArgumentParser:
         f"are rejected (default: {DEFAULT_QUEUE_CAPACITY})",
     )
     p_serve.add_argument(
-        "--batch-max",
-        type=_positive_int,
-        default=DEFAULT_BATCH_MAX,
-        help="jobs one dispatch claims at once "
-        f"(default: {DEFAULT_BATCH_MAX})",
-    )
-    p_serve.add_argument(
         "--cache-dir",
         default=DEFAULT_CACHE_DIR,
         metavar="DIR",
-        help="persistent solve cache shared by all lanes "
+        help="persistent solve cache shared by all dispatchers "
         f"(default: {DEFAULT_CACHE_DIR})",
     )
     p_serve.add_argument(
@@ -377,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--processes",
         action="store_true",
-        help="execute solves in a process pool (one process per shard) "
+        help="execute solves in a process pool (one process per dispatcher) "
         "instead of dispatcher threads",
     )
     p_serve.add_argument(
@@ -593,13 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chaos.add_argument(
         "--objective", type=_objective, default=Objective.MIN_TRANSFERS
     )
-    p_chaos.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="evaluate every grid point as an independent scalar "
-        "simulation instead of one vectorized batch per alpha "
-        "(slower; the results are identical)",
-    )
 
     p_fsck = sub.add_parser(
         "fsck",
@@ -750,7 +737,6 @@ def _cmd_serve(args) -> int:
     service = SolveService(
         shards=args.shards,
         queue_capacity=args.queue_capacity,
-        batch_max=args.batch_max,
         cache_dir=args.cache_dir,
         telemetry=args.telemetry,
         state_dir=args.state_dir,
@@ -1088,7 +1074,6 @@ def _dispatch(args, client) -> int:
                 telemetry=args.telemetry,
                 cache_dir=args.cache_dir,
                 resume=args.resume,
-                batch=not args.no_batch,
                 client=client,
             )
         except KeyboardInterrupt:

@@ -27,7 +27,6 @@ __all__ = [
     "DEFAULT_SERVICE_PORT",
     "DEFAULT_SERVICE_SHARDS",
     "DEFAULT_QUEUE_CAPACITY",
-    "DEFAULT_BATCH_MAX",
     "DEFAULT_METRICS_INTERVAL_SECONDS",
     "DEFAULT_SANDBOX_RSS_MB",
     "DEFAULT_SANDBOX_HEARTBEAT_SECONDS",
@@ -76,16 +75,13 @@ DEFAULT_SERVICE_HOST: str = "127.0.0.1"
 #: Default TCP port of ``letdma serve`` (0 = let the OS pick).
 DEFAULT_SERVICE_PORT: int = 6160
 
-#: Worker shards of the solve service; each shard owns a slice of the
-#: instance-hash space and its own dispatcher.
+#: Dispatchers of the solve service; each claims one job at a time from
+#: the shared FIFO queue (and owns one pool slot with ``--processes``).
 DEFAULT_SERVICE_SHARDS: int = 2
 
 #: Bounded queue capacity per solve service (pending + running jobs);
 #: submissions beyond it are honestly rejected (backpressure).
 DEFAULT_QUEUE_CAPACITY: int = 256
-
-#: Maximum jobs one service worker claims per dispatch (micro-batch).
-DEFAULT_BATCH_MAX: int = 4
 
 #: How often the solve service appends a ``service_metrics`` record to
 #: its telemetry sink.

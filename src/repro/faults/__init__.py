@@ -29,7 +29,6 @@ See ``docs/robustness.md`` for the full fault model and CLI guide.
 from repro.faults.campaign import (
     BatchChaosJob,
     ChaosConfig,
-    ChaosJob,
     ChaosVariant,
     chaos_grid,
     render_chaos_table,
@@ -66,7 +65,6 @@ __all__ = [
     "evaluate_robustness",
     "evaluate_robustness_batch",
     "BatchRobustnessOutcome",
-    "ChaosJob",
     "ChaosVariant",
     "BatchChaosJob",
     "ChaosConfig",

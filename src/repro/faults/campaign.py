@@ -1,27 +1,21 @@
 """Chaos campaigns: sweep fault-intensity grids through the runner.
 
 A chaos campaign asks "how does an *optimal* allocation degrade when
-the platform misbehaves?".  Each grid point solves one WATERS instance
-(alpha, objective) — cached, so repeated points are free — then replays
-it under a :class:`~repro.faults.spec.FaultSpec` derived from a scalar
-fault intensity and a seed, under one graceful-degradation policy.
+the platform misbehaves?".  Each grid point takes one WATERS instance
+(alpha, objective) and replays its allocation under a
+:class:`~repro.faults.spec.FaultSpec` derived from a scalar fault
+intensity and a seed, under one graceful-degradation policy.
 
-The grid runs through :class:`~repro.runtime.ExperimentRunner`, which
-supplies parallelism, per-job retries, incremental JSONL telemetry,
-checkpoint/resume (``--resume``), and graceful SIGINT/SIGTERM
-handling; :class:`ChaosJob` is the runner's duck-typed campaign-job
-shape (``job_id``/``tags``/``execute``).
-
-By default (``batch=True``) the grid is collapsed per alpha into one
-:class:`BatchChaosJob`: the instance is solved once, and every
-``(intensity, seed, policy)`` point riding on that allocation is
-evaluated in a single vectorized
-:func:`~repro.faults.batch.evaluate_robustness_batch` call.  Telemetry
-stays grid-point-granular — the batch job emits one ``event: "chaos"``
-line per member, with the member's own ``job_id``, so summaries,
-tables, and ``--resume`` are indistinguishable from the scalar path
-(the two modes even share job-id formats, so a campaign checkpointed
-under one mode resumes under the other).
+The grid collapses per alpha into one :class:`BatchChaosJob`: the
+instance is solved once, and every ``(intensity, seed, policy)`` point
+riding on that allocation is evaluated in a single vectorized
+:func:`~repro.faults.batch.evaluate_robustness_batch` call.  The batch
+runs through :class:`~repro.runtime.ExperimentRunner`, which supplies
+per-job retries, incremental JSONL telemetry, checkpoint/resume
+(``--resume``), and graceful SIGINT/SIGTERM handling.  Telemetry stays
+grid-point-granular — the batch job emits one ``event: "chaos"`` line
+per member, with the member's own ``job_id``, so summaries, tables,
+and ``--resume`` work per grid point.
 """
 
 from __future__ import annotations
@@ -31,13 +25,11 @@ from dataclasses import dataclass, field, replace
 
 from repro.core.formulation import Objective
 from repro.defaults import DEFAULT_SOLVE_BACKEND, DEFAULT_TIME_LIMIT_SECONDS
-from repro.faults.report import evaluate_robustness
 from repro.faults.spec import FaultSpec
 from repro.runtime.runner import ExperimentRunner, JobOutcome
-from repro.runtime.telemetry import TELEMETRY_SCHEMA_VERSION
+from repro.runtime.telemetry import build_solve_record
 
 __all__ = [
-    "ChaosJob",
     "ChaosVariant",
     "BatchChaosJob",
     "ChaosConfig",
@@ -47,82 +39,10 @@ __all__ = [
 ]
 
 
-@dataclass
-class ChaosJob:
-    """One chaos grid point: solve, inject, simulate, report.
-
-    Duck-typed for :class:`~repro.runtime.ExperimentRunner`: exposes
-    ``job_id``, ``tags``, and ``execute(cache_dir, deadline_seconds)``
-    returning ``(AllocationResult, telemetry record)``.  The record is
-    an ``event: "chaos"`` JSONL line embedding the
-    :meth:`~repro.faults.report.RobustnessReport.to_record` metrics.
-    """
-
-    job_id: str
-    alpha: float
-    intensity: float
-    seed: int
-    policy: str = "stale-data"
-    objective: Objective = Objective.MIN_TRANSFERS
-    backend: str = DEFAULT_SOLVE_BACKEND
-    time_limit_seconds: float = DEFAULT_TIME_LIMIT_SECONDS
-    tags: dict = field(default_factory=dict)
-
-    #: Telemetry event name (used by the runner's error records too).
-    event = "chaos"
-
-    def execute(self, cache_dir, deadline_seconds):
-        """Worker-side body (runs inside the runner's processes)."""
-        from repro.reporting.experiments import solve_instance
-
-        start = time.perf_counter()
-        limit = self.time_limit_seconds
-        if deadline_seconds is not None:
-            limit = min(limit, deadline_seconds)
-        app, result = solve_instance(
-            self.objective,
-            self.alpha,
-            time_limit_seconds=limit,
-            backend=self.backend,
-            cache=cache_dir,
-            verify=False,
-        )
-        spec = FaultSpec.from_intensity(self.intensity, seed=self.seed)
-        if not result.feasible:
-            record = self._record(result, None, start)
-            return result, record
-        report = evaluate_robustness(app, result, spec, policy=self.policy)
-        return result, self._record(result, report, start)
-
-    def _record(self, result, report, start) -> dict:
-        record = {
-            "schema_version": TELEMETRY_SCHEMA_VERSION,
-            "event": self.event,
-            "job_id": self.job_id,
-            "instance": "",
-            "requested_backend": self.backend,
-            "backend": result.backend,
-            "status": result.status.value,
-            "objective": result.objective_value,
-            "num_transfers": result.num_transfers,
-            "mip_gap": None,
-            "wall_seconds": time.perf_counter() - start,
-            "solver_seconds": result.runtime_seconds,
-            "cached": False,
-            "fallback_chain": [],
-            "tags": dict(self.tags),
-            "robustness": report.to_record() if report is not None else None,
-        }
-        return record
-
-
 @dataclass(frozen=True)
 class ChaosVariant:
-    """One grid point carried by a :class:`BatchChaosJob`.
-
-    ``job_id`` and ``tags`` use the exact same format as the scalar
-    :class:`ChaosJob`, so telemetry records are indistinguishable.
-    """
+    """One grid point carried by a :class:`BatchChaosJob`: its
+    ``job_id`` and ``tags`` label the member's telemetry record."""
 
     job_id: str
     intensity: float
@@ -203,25 +123,19 @@ class BatchChaosJob:
         return result, records
 
     def _record(self, member, result, report, wall_seconds) -> dict:
-        return {
-            "schema_version": TELEMETRY_SCHEMA_VERSION,
-            "event": self.event,
-            "job_id": member.job_id,
-            "instance": "",
-            "requested_backend": self.backend,
-            "backend": result.backend,
-            "status": result.status.value,
-            "objective": result.objective_value,
-            "num_transfers": result.num_transfers,
-            "mip_gap": None,
-            "wall_seconds": wall_seconds,
-            "solver_seconds": result.runtime_seconds,
-            "cached": False,
-            "fallback_chain": [],
-            "tags": dict(member.tags),
-            "batched": True,
-            "robustness": report.to_record() if report is not None else None,
-        }
+        record = build_solve_record(
+            instance="",
+            requested_backend=self.backend,
+            result=result,
+            wall_seconds=wall_seconds,
+            mip_gap=None,
+            job_id=member.job_id,
+            tags=member.tags,
+        )
+        record["event"] = self.event
+        record["batched"] = True
+        record["robustness"] = report.to_record() if report is not None else None
+        return record
 
 
 @dataclass
@@ -248,79 +162,42 @@ class ChaosConfig:
     time_limit_seconds: float = DEFAULT_TIME_LIMIT_SECONDS
 
 
-def chaos_grid(config: ChaosConfig, batch: bool = False) -> list:
-    """Expand a :class:`ChaosConfig` into its cross-product job list.
-
-    With ``batch=False`` (the historical shape) every grid point is its
-    own :class:`ChaosJob` and re-solves its instance (deduped only by
-    the solve cache).  With ``batch=True`` the points collapse into one
-    :class:`BatchChaosJob` per alpha: a single solve per distinct
-    instance and a single vectorized simulation for all fault variants
-    riding on it.  Both modes emit identical job ids and tags.
-    """
-    if batch:
-        jobs = []
-        for alpha in config.alphas:
-            members = [
-                ChaosVariant(
-                    job_id=f"chaos-a{alpha:g}-i{intensity:g}-s{seed}-{policy}",
-                    intensity=intensity,
-                    seed=seed,
-                    policy=policy,
-                    tags={
-                        "alpha": alpha,
-                        "intensity": intensity,
-                        "seed": seed,
-                        "policy": policy,
-                        "objective": config.objective.value,
-                    },
-                )
-                for intensity in config.intensities
-                for seed in config.seeds
-                for policy in config.policies
-            ]
-            jobs.append(
-                BatchChaosJob(
-                    job_id=f"chaos-batch-a{alpha:g}",
-                    alpha=alpha,
-                    members=members,
-                    objective=config.objective,
-                    backend=config.backend,
-                    time_limit_seconds=config.time_limit_seconds,
-                    tags={
-                        "alpha": alpha,
-                        "objective": config.objective.value,
-                    },
-                )
-            )
-        return jobs
+def chaos_grid(config: ChaosConfig) -> list[BatchChaosJob]:
+    """Expand a :class:`ChaosConfig` into one :class:`BatchChaosJob` per
+    alpha, whose members are the ``(intensity, seed, policy)`` cross
+    product: a single solve per distinct instance and a single
+    vectorized simulation for all fault variants riding on it."""
     jobs = []
     for alpha in config.alphas:
-        for intensity in config.intensities:
-            for seed in config.seeds:
-                for policy in config.policies:
-                    job_id = (
-                        f"chaos-a{alpha:g}-i{intensity:g}-s{seed}-{policy}"
-                    )
-                    jobs.append(
-                        ChaosJob(
-                            job_id=job_id,
-                            alpha=alpha,
-                            intensity=intensity,
-                            seed=seed,
-                            policy=policy,
-                            objective=config.objective,
-                            backend=config.backend,
-                            time_limit_seconds=config.time_limit_seconds,
-                            tags={
-                                "alpha": alpha,
-                                "intensity": intensity,
-                                "seed": seed,
-                                "policy": policy,
-                                "objective": config.objective.value,
-                            },
-                        )
-                    )
+        members = [
+            ChaosVariant(
+                job_id=f"chaos-a{alpha:g}-i{intensity:g}-s{seed}-{policy}",
+                intensity=intensity,
+                seed=seed,
+                policy=policy,
+                tags={
+                    "alpha": alpha,
+                    "intensity": intensity,
+                    "seed": seed,
+                    "policy": policy,
+                    "objective": config.objective.value,
+                },
+            )
+            for intensity in config.intensities
+            for seed in config.seeds
+            for policy in config.policies
+        ]
+        jobs.append(
+            BatchChaosJob(
+                job_id=f"chaos-batch-a{alpha:g}",
+                alpha=alpha,
+                members=members,
+                objective=config.objective,
+                backend=config.backend,
+                time_limit_seconds=config.time_limit_seconds,
+                tags={"alpha": alpha, "objective": config.objective.value},
+            )
+        )
     return jobs
 
 
@@ -333,16 +210,13 @@ def run_chaos(
     resume: bool = False,
     max_retries: int = 1,
     deadline_seconds: float | None = None,
-    batch: bool = True,
     client=None,
 ) -> list[JobOutcome]:
     """Run the campaign grid through the experiment runner.
 
-    ``batch=True`` (default) evaluates each alpha's fault variants in
-    one vectorized batch (one solve + one ``simulate_batch`` per
-    alpha); ``batch=False`` is the scalar one-simulation-per-point
-    fallback.  Outcomes and telemetry are grid-point-granular either
-    way.
+    Each alpha's fault variants are evaluated in one vectorized batch
+    (one solve + one ``simulate_batch`` per alpha); outcomes and
+    telemetry are grid-point-granular.
 
     Propagates :class:`~repro.runtime.runner.RunInterrupted` on
     SIGINT/SIGTERM; everything harvested before the signal is already
@@ -358,7 +232,7 @@ def run_chaos(
         resume=resume,
         client=client,
     )
-    return runner.run(chaos_grid(config, batch=batch))
+    return runner.run(chaos_grid(config))
 
 
 def render_chaos_table(outcomes: list[JobOutcome]) -> str:

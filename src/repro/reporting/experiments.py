@@ -6,7 +6,7 @@ Shared by the benchmark harness, the examples, and the CLI so that
 * :func:`solve_instance` — gamma assignment + one :func:`repro.solve`
   call (portfolio/cache/telemetry aware) + optional verification;
 * :func:`run_table1` — MILP running times and transfer counts per
-  objective and alpha, fanned across worker processes by the
+  objective and alpha, run on a solve service by the
   :class:`~repro.runtime.ExperimentRunner`;
 * :func:`run_fig2_panel` — per-task latency ratios of the proposed
   approach against the three Giotto baselines for one configuration;
@@ -163,8 +163,8 @@ def run_table1(
 ) -> list[Table1Row]:
     """The Table I experiment: times and transfer counts per config.
 
-    ``jobs > 1`` fans the grid across worker processes; rows come back
-    in grid order either way.  ``resume`` skips grid points already
+    ``jobs > 1`` fans the grid across that many worker processes; rows
+    come back in grid order either way, and every row is a cold solve.  ``resume`` skips grid points already
     recorded in ``telemetry``; ``client`` routes solves through a
     running solve service (see :mod:`repro.service`).
 
@@ -192,18 +192,21 @@ def run_table1(
         outcomes = runner.run(grid)
     rows = []
     for job, outcome in zip(grid, outcomes):
-        result = outcome.result
-        if result.feasible and result.backend != "greedy":
+        # A resumed grid point carries only its telemetry record, so
+        # rows read the record and only fresh allocations are verified.
+        result, record = outcome.result, outcome.record
+        resumed = getattr(outcome, "resumed", False)
+        if result.feasible and result.backend != "greedy" and not resumed:
             verify_allocation(job.app, result).raise_if_failed()
         rows.append(
             Table1Row(
                 objective=Objective(job.tags["objective"]),
                 alpha=job.tags["alpha"],
-                runtime_seconds=result.runtime_seconds,
-                status=result.status.value,
-                num_transfers=result.num_transfers,
-                backend=result.backend,
-                warm_start=result.warm_start,
+                runtime_seconds=record["solver_seconds"],
+                status=record["status"],
+                num_transfers=record["num_transfers"],
+                backend=record["backend"],
+                warm_start=record.get("warm_start", "none"),
             )
         )
     return rows

@@ -314,7 +314,7 @@ def _phase_worker_kill(config: ServiceChaosConfig, root: Path) -> PhaseReport:
         for app, ticket in tickets:
             _resolve(service, app, ticket, phase, config.deadline_seconds)
         # The pool is warm now; SIGKILL one of its workers.  The next
-        # batch hits a BrokenProcessPool, and the service must rebuild
+        # job hits a BrokenProcessPool, and the service must rebuild
         # and replay instead of failing or (worse) hanging.
         victims = list(getattr(service._pool, "_processes", {}) or {})
         if victims:
@@ -329,7 +329,7 @@ def _phase_worker_kill(config: ServiceChaosConfig, root: Path) -> PhaseReport:
         snapshot = service.metrics_snapshot()
         phase.details["pool_rebuilds"] = snapshot.get("pool_rebuilds", 0)
         if victims and not snapshot.get("pool_rebuilds"):
-            # The kill may land between batches without breaking an
+            # The kill may land between jobs without breaking an
             # in-flight future; the pool then rebuilds lazily on the
             # next submit.  Either way every ticket must have resolved
             # above — only an unresolved ticket is a real violation.

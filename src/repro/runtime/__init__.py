@@ -1,6 +1,5 @@
 """Parallel experiment runtime: the :func:`repro.solve` facade, the
-solver portfolio, the process-pool experiment runner, and JSONL run
-telemetry.
+solver portfolio, the experiment runner, and JSONL run telemetry.
 
 Layering::
 
@@ -10,7 +9,8 @@ Layering::
         └─ telemetry: one JSONL record per solve
 
     ExperimentRunner(jobs=N).run(grid)    # many solves, in parallel
-        └─ each job goes through the facade in a worker process
+        └─ solve jobs run on a repro.service.SolveService with N
+           dispatchers (and N pool processes when N > 1)
 
 See ``docs/runtime.md`` for the telemetry schema and CLI integration
 (``letdma sweep --jobs 4 --telemetry runs/``).

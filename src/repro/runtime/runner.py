@@ -1,24 +1,27 @@
-"""Parallel experiment runtime: fan a grid of jobs across processes.
+"""Experiment runtime: run a grid of jobs through the solve service.
 
 Every grid-shaped workload in the repository — Table I rows, Fig. 2
 panels, alpha sweeps, fuzz campaigns, chaos campaigns — is "run N
-independent jobs".  :class:`ExperimentRunner` executes such a grid,
-optionally across worker processes
-(``concurrent.futures.ProcessPoolExecutor``), with:
+independent jobs".  :class:`ExperimentRunner` executes such a grid.
+Solve jobs go to a :class:`~repro.service.SolveService`: the
+``--service`` client when one is given, else an in-process service
+opened for the run with ``jobs`` dispatchers (and, for ``jobs > 1``, a
+process pool of that size).  The grid gets:
 
 * **per-job wall-clock deadlines** — ``deadline_seconds`` caps each
   portfolio rung's budget, so one pathological instance cannot stall a
-  sweep;
+  sweep (time spent waiting in the queue does not count);
 * **graceful degradation** — solve jobs default to the solver
   portfolio, so a timed-out MILP still yields a feasible greedy
   allocation, with the fallback chain recorded;
 * **fault tolerance** — a crashing job is retried with exponential
   backoff (``max_retries``/``retry_backoff_seconds``) and becomes an
-  ``ERROR`` outcome only once the retries are exhausted, instead of
-  killing the sweep;
-* **telemetry** — the parent process writes one JSONL record per job
-  *as it is harvested* (workers never share a file handle), in
-  submission order, so a killed campaign keeps everything finished;
+  ``ERROR`` outcome only once the retries are exhausted, and a killed
+  pool worker is replaced and its job replayed, instead of killing the
+  sweep;
+* **telemetry** — the runner writes one JSONL record per job *as it is
+  harvested*, in submission order, so a killed campaign keeps
+  everything finished;
 * **checkpoint/resume** — ``resume=True`` skips jobs whose records
   already exist in the telemetry file (the ``--resume`` CLI mode);
 * **graceful interruption** — SIGINT/SIGTERM stop the grid at the next
@@ -27,11 +30,12 @@ optionally across worker processes
 * **caching** — a shared ``cache_dir`` lets re-runs skip solved
   instances.
 
-The grid accepts two kinds of jobs: :class:`SolveJob` (one MILP solve
-through the :func:`repro.solve` facade) and any duck-typed *campaign
-job* exposing ``job_id``, ``tags``, and
+The grid accepts two kinds of jobs: :class:`SolveJob` (one MILP solve,
+executed by :func:`repro.api.execute` on a service dispatcher) and any
+duck-typed *campaign job* exposing ``job_id``, ``tags``, and
 ``execute(cache_dir, deadline_seconds) -> (result, record)`` — that is
 how ``letdma chaos`` reuses this machinery for robustness grids.
+Campaign jobs run in-process, one after another.
 
 A campaign job may additionally be *batched*: exposing ``member_ids``
 (the grid-point ids it covers) and ``narrow(ids)`` (a copy restricted
@@ -49,26 +53,29 @@ deterministic backends.
 
 from __future__ import annotations
 
+import os
 import signal
+import sys
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FutureTimeoutError
-from dataclasses import dataclass, field
 
-from repro.api import SolveRequest, execute as execute_request
-from repro.core.formulation import FormulationConfig
 from repro.core.solution import AllocationResult
-from repro.defaults import DEFAULT_SOLVE_BACKEND
 from repro.milp.result import SolveStatus
-from repro.model.application import Application
-from repro.runtime.telemetry import (
-    TELEMETRY_SCHEMA_VERSION,
-    TelemetryWriter,
-    read_telemetry,
+from repro.runtime.jobs import (
+    JobOutcome,
+    SolveJob,
+    error_outcome,
+    execute_with_retries,
 )
+from repro.runtime.telemetry import TelemetryWriter, read_telemetry
+from repro.service.client import InProcessClient, ServiceRejected
+from repro.service.server import SolveService
 
 __all__ = ["SolveJob", "JobOutcome", "ExperimentRunner", "RunInterrupted"]
+
+#: How long one wait for a service result blocks before the runner
+#: re-checks for SIGINT/SIGTERM.
+_POLL_SECONDS = 0.2
 
 
 class RunInterrupted(KeyboardInterrupt):
@@ -84,75 +91,16 @@ class RunInterrupted(KeyboardInterrupt):
         self.outcomes = outcomes
 
 
-@dataclass
-class SolveJob:
-    """One solve of an experiment grid.
-
-    Attributes:
-        job_id: Unique identifier within the grid (appears in
-            telemetry).
-        app: The (already gamma-configured) application to solve.
-        config: Formulation tunables for this instance.
-        backend: Facade backend; defaults to the solver portfolio.
-        tags: Grid coordinates (objective, alpha, seed, ...) carried
-            into the telemetry record.
-        prior: Optional :class:`repro.incremental.Prior` warm start
-            forwarded to the request (speed only, never the answer).
-    """
-
-    job_id: str
-    app: Application
-    config: FormulationConfig = field(default_factory=FormulationConfig)
-    backend: str = DEFAULT_SOLVE_BACKEND
-    tags: dict = field(default_factory=dict)
-    prior: "object | None" = None
-
-    def to_request(self) -> SolveRequest:
-        """This grid point as the shared :class:`repro.api.SolveRequest`
-        contract (what the facade, the runner workers, and the solve
-        service all execute)."""
-        return SolveRequest(
-            app=self.app,
-            config=self.config,
-            backend=self.backend,
-            job_id=self.job_id,
-            tags=dict(self.tags),
-            prior=self.prior,
-        )
-
-
-@dataclass
-class JobOutcome:
-    """The result of one grid job.
-
-    Attributes:
-        job_id: The job's identifier.
-        result: The allocation result (``status`` is ``ERROR`` when the
-            job raised; see ``record["error"]`` for the exception).
-        wall_seconds: End-to-end wall-clock time of the job.
-        record: The telemetry record emitted for this job.
-        tags: The job's tags (echoed for convenience).
-        resumed: True when the job was skipped because ``resume=True``
-            found its record in the telemetry file; ``result`` is then
-            a status-only skeleton reconstructed from the record.
-    """
-
-    job_id: str
-    result: AllocationResult
-    wall_seconds: float
-    record: dict
-    tags: dict = field(default_factory=dict)
-    resumed: bool = False
-
-
 class ExperimentRunner:
     """Run a grid of jobs, optionally in parallel.
 
     Args:
-        jobs: Worker process count; ``1`` (default) runs in-process,
-            which is also the fully deterministic reference mode.
+        jobs: Dispatchers of the in-process solve service opened for
+            the run; ``jobs > 1`` also gives it a process pool of that
+            size.  ``1`` (default) solves in-process, one job at a
+            time, which is also the fully deterministic reference mode.
         telemetry: Optional sink (writer, ``.jsonl`` path, or run
-            directory); the parent writes one record per job, in
+            directory); the runner writes one record per job, in
             submission order, flushed as each job is harvested.
         cache_dir: Optional persistent cache shared by all jobs.
         deadline_seconds: Optional per-job wall-clock deadline; caps
@@ -167,10 +115,9 @@ class ExperimentRunner:
             ``resumed=True``, and their records are not rewritten.
         client: Optional :class:`~repro.service.ServiceClient` (or any
             object with ``submit_request``/``result``); solve jobs are
-            then submitted to the shared solve service instead of a
-            private process pool, so concurrent campaigns deduplicate
-            identical instances against each other.  Campaign jobs
-            (chaos batches, ...) still execute locally.
+            then submitted to that shared solve service instead of one
+            opened for the run, so concurrent campaigns deduplicate
+            identical instances against each other.
     """
 
     def __init__(
@@ -243,17 +190,11 @@ class ExperimentRunner:
 
         self._interrupted = False
         with self._signal_guard():
-            if self.client is not None:
-                remote = [job for job in pending if not hasattr(job, "execute")]
-                local = [job for job in pending if hasattr(job, "execute")]
-            else:
-                remote, local = [], pending
-            if self.jobs == 1 or len(local) <= 1:
-                self._run_sequential(local, outcomes)
-            else:
-                self._run_parallel(local, outcomes)
-            if remote:
-                self._run_via_client(remote, outcomes)
+            campaigns = [job for job in pending if hasattr(job, "execute")]
+            solves = [job for job in pending if not hasattr(job, "execute")]
+            self._run_campaigns(campaigns, outcomes)
+            if solves and not self._interrupted:
+                self._run_solves(solves, outcomes)
 
         ordered = [
             outcomes[job_id] for job_id in order if job_id in outcomes
@@ -264,11 +205,11 @@ class ExperimentRunner:
 
     # ------------------------------------------------------------------
 
-    def _run_sequential(self, pending, outcomes) -> None:
+    def _run_campaigns(self, pending, outcomes) -> None:
         for job in pending:
             if self._interrupted:
                 break
-            outcome = _execute_with_retries(
+            outcome = execute_with_retries(
                 job,
                 self.cache_dir,
                 self.deadline_seconds,
@@ -277,89 +218,77 @@ class ExperimentRunner:
             )
             self._harvest(outcome, outcomes)
 
-    def _run_parallel(self, pending, outcomes) -> None:
-        with ProcessPoolExecutor(
-            max_workers=min(self.jobs, len(pending))
-        ) as pool:
-            futures = [
-                pool.submit(
-                    _execute_with_retries,
-                    job,
-                    self.cache_dir,
-                    self.deadline_seconds,
-                    self.max_retries,
-                    self.retry_backoff_seconds,
-                )
-                for job in pending
-            ]
-            for job, future in zip(pending, futures):
-                outcome = self._await_future(job, future)
-                if outcome is None:  # interrupted
-                    for remaining in futures:
-                        remaining.cancel()
-                    pool.shutdown(wait=False, cancel_futures=True)
-                    break
-                self._harvest(outcome, outcomes)
+    def _run_solves(self, jobs, outcomes) -> None:
+        """Solve jobs through the given client, or through a solve
+        service opened for this run."""
+        if self.client is not None:
+            self._run_via_client(self.client, jobs, outcomes)
+            return
+        service = SolveService(
+            shards=self.jobs,
+            use_processes=self.jobs > 1,
+            cache_dir=self.cache_dir,
+            deadline_seconds=self.deadline_seconds,
+            max_retries=self.max_retries,
+            retry_backoff_seconds=self.retry_backoff_seconds,
+            # A grid point tries every rung it asks for, whatever its
+            # neighbours did: the circuit breakers never trip here.
+            breaker_threshold=sys.maxsize,
+        )
+        with service:
+            self._run_via_client(InProcessClient(service), jobs, outcomes)
 
-    def _await_future(self, job, future) -> "JobOutcome | None":
-        """Harvest one future, polling so signal flags are honored;
-        executor-level failures (worker death, unpicklable payloads)
-        become ``ERROR`` outcomes."""
-        while True:
-            if self._interrupted:
-                return None
-            try:
-                return future.result(timeout=0.2)
-            except FutureTimeoutError:
-                continue
-            except Exception as exc:
-                return _error_outcome(job, 0.0, exc)
-
-    def _run_via_client(self, jobs, outcomes) -> None:
-        """Submit solve jobs to the shared solve service, then harvest.
+    def _run_via_client(self, client, jobs, outcomes) -> None:
+        """Submit solve jobs to a solve service, then harvest in order.
 
         Submissions use a sliding window: when the service applies
         backpressure (bounded queue full), the oldest in-flight result
         is harvested first — draining the queue is the correct response
         to honest rejection, not erroring out.
         """
-        from repro.service.client import ServiceRejected
-
         inflight: list = []
         for job in jobs:
             if self._interrupted:
                 break
             while not self._interrupted:
                 try:
-                    ticket = self.client.submit_request(job.to_request())
+                    ticket = client.submit_request(job.to_request())
                 except ServiceRejected:
                     if inflight:
-                        self._harvest_ticket(*inflight.pop(0), outcomes)
+                        self._harvest_ticket(client, *inflight.pop(0), outcomes)
                     else:
                         time.sleep(0.05)
                     continue
                 except Exception as exc:
-                    self._harvest(_error_outcome(job, 0.0, exc), outcomes)
+                    self._harvest(error_outcome(job, 0.0, exc), outcomes)
                     break
                 inflight.append((job, ticket))
                 break
         for job, ticket in inflight:
             if self._interrupted:
                 break
-            self._harvest_ticket(job, ticket, outcomes)
+            self._harvest_ticket(client, job, ticket, outcomes)
 
-    def _harvest_ticket(self, job, ticket, outcomes) -> None:
+    def _harvest_ticket(self, client, job, ticket, outcomes) -> None:
         """Wait for one service result and record it under the job's
         own id/tags (the service's record carries the first submitter's
-        labels; each grid point keeps its own telemetry line)."""
-        start = time.perf_counter()
-        try:
-            outcome = self.client.result(ticket, timeout=self.deadline_seconds)
-        except Exception as exc:
-            self._harvest(
-                _error_outcome(job, time.perf_counter() - start, exc), outcomes
-            )
-            return
+        labels; each grid point keeps its own telemetry line).
+
+        The wait polls in short slices so a SIGINT/SIGTERM is honored
+        promptly; it is not bounded by ``deadline_seconds``, which caps
+        the solve, not the time spent queued behind other jobs.
+        """
+        outcome = None
+        while outcome is None:
+            if self._interrupted:
+                return
+            try:
+                outcome = client.result(ticket, timeout=_POLL_SECONDS)
+            except TimeoutError:
+                continue
+            except Exception as exc:
+                self._harvest(error_outcome(job, 0.0, exc), outcomes)
+                return
         record = dict(outcome.record)
         record["job_id"] = job.job_id
         record["tags"] = dict(job.tags)
@@ -368,7 +297,7 @@ class ExperimentRunner:
             JobOutcome(
                 job_id=job.job_id,
                 result=outcome.result,
-                wall_seconds=time.perf_counter() - start,
+                wall_seconds=float(record.get("wall_seconds", 0.0)),
                 record=record,
                 tags=dict(job.tags),
             ),
@@ -407,8 +336,14 @@ class ExperimentRunner:
     def _signal_guard(self):
         """Install SIGINT/SIGTERM handlers that request a graceful stop
         at the next job boundary (main thread only; a no-op context
-        elsewhere, where ``signal.signal`` is unavailable)."""
+        elsewhere, where ``signal.signal`` is unavailable).
+
+        Solve pool workers fork mid-run and inherit the handlers.  In
+        any process but this one a signal gets the handling it had
+        before the run, so a broken pool can still terminate them.
+        """
         runner = self
+        owner = os.getpid()
 
         class _Guard:
             def __enter__(self):
@@ -417,7 +352,11 @@ class ExperimentRunner:
                     return self
 
                 def request_stop(signum, frame):
-                    runner._interrupted = True
+                    if os.getpid() == owner:
+                        runner._interrupted = True
+                        return
+                    signal.signal(signum, self.previous[signum] or signal.SIG_DFL)
+                    os.kill(os.getpid(), signum)
 
                 for signum in (signal.SIGINT, signal.SIGTERM):
                     self.previous[signum] = signal.signal(signum, request_stop)
@@ -438,107 +377,6 @@ def _ids_of(job) -> list[str]:
     return list(members) if members else [job.job_id]
 
 
-# ----------------------------------------------------------------------
-# Worker-side bodies (module-level: they are pickled into workers).
-# ----------------------------------------------------------------------
-
-
-def _execute_with_retries(
-    job,
-    cache_dir: "str | None",
-    deadline_seconds: float | None,
-    max_retries: int,
-    backoff_seconds: float,
-    sandbox=None,
-    skip_backends: tuple[str, ...] = (),
-    fault_plan: "dict | None" = None,
-) -> JobOutcome:
-    """Run one job, retrying crashes with exponential backoff.
-
-    Attempt ``n`` (0-based) sleeps ``backoff_seconds * 2**n`` before
-    re-executing; once the budget is exhausted the last exception
-    becomes an ``ERROR`` outcome so one bad job never aborts the grid.
-    ``sandbox`` / ``skip_backends`` / ``fault_plan`` are the service's
-    resilience hooks, forwarded to solve jobs (campaign jobs run their
-    own ``execute`` and ignore them).
-    """
-    start = time.perf_counter()
-    for attempt in range(max_retries + 1):
-        try:
-            outcome = _execute_job(
-                job,
-                cache_dir,
-                deadline_seconds,
-                sandbox=sandbox,
-                skip_backends=skip_backends,
-                fault_plan=fault_plan,
-            )
-        except Exception as exc:
-            if attempt >= max_retries:
-                failed = _error_outcome(job, time.perf_counter() - start, exc)
-                for one in failed if isinstance(failed, list) else (failed,):
-                    one.record["attempts"] = attempt + 1
-                return failed
-            time.sleep(backoff_seconds * (2**attempt))
-            continue
-        if attempt:
-            for one in outcome if isinstance(outcome, list) else (outcome,):
-                one.record["attempts"] = attempt + 1
-        return outcome
-    raise AssertionError("unreachable")  # pragma: no cover
-
-
-def _execute_job(
-    job,
-    cache_dir,
-    deadline_seconds,
-    *,
-    sandbox=None,
-    skip_backends: tuple[str, ...] = (),
-    fault_plan: "dict | None" = None,
-) -> JobOutcome:
-    """Dispatch one grid job: campaign jobs run their own ``execute``,
-    solve jobs go through the facade."""
-    start = time.perf_counter()
-    if hasattr(job, "execute"):
-        result, record = job.execute(cache_dir, deadline_seconds)
-        wall = time.perf_counter() - start
-        if isinstance(record, list):
-            # Batched campaign job: one outcome per member record.
-            return [
-                JobOutcome(
-                    job_id=member["job_id"],
-                    result=result,
-                    wall_seconds=wall,
-                    record=member,
-                    tags=dict(member.get("tags", {})),
-                )
-                for member in record
-            ]
-        return JobOutcome(
-            job_id=job.job_id,
-            result=result,
-            wall_seconds=wall,
-            record=record,
-            tags=dict(job.tags),
-        )
-    outcome = execute_request(
-        job.to_request(),
-        cache_dir=cache_dir,
-        deadline_seconds=deadline_seconds,
-        sandbox=sandbox,
-        skip_backends=tuple(skip_backends),
-        fault_plan=fault_plan,
-    )
-    return JobOutcome(
-        job_id=job.job_id,
-        result=outcome.result,
-        wall_seconds=time.perf_counter() - start,
-        record=outcome.record,
-        tags=dict(job.tags),
-    )
-
-
 def _resumed_outcome(job_id: str, record: dict, fallback_tags: dict) -> JobOutcome:
     """A checkpointed grid point: rebuild a status-only outcome from
     its telemetry record without re-executing anything."""
@@ -555,60 +393,3 @@ def _resumed_outcome(job_id: str, record: dict, fallback_tags: dict) -> JobOutco
         resumed=True,
     )
 
-
-def _error_outcome(job, wall_seconds: float, exc: Exception):
-    """ERROR outcome(s) for a failed job — one per member when the job
-    is batched, so every grid point keeps a telemetry line and stays
-    individually resumable."""
-    members = getattr(job, "members", None)
-    if members:
-        return [
-            _one_error_outcome(
-                member.job_id,
-                getattr(job, "event", "solve"),
-                getattr(job, "backend", ""),
-                dict(member.tags),
-                wall_seconds / len(members),
-                exc,
-            )
-            for member in members
-        ]
-    return _one_error_outcome(
-        job.job_id,
-        getattr(job, "event", "solve"),
-        getattr(job, "backend", ""),
-        dict(job.tags),
-        wall_seconds,
-        exc,
-        mip_gap=getattr(getattr(job, "config", None), "mip_gap", None),
-    )
-
-
-def _one_error_outcome(
-    job_id, event, backend, tags, wall_seconds, exc, mip_gap=None
-) -> JobOutcome:
-    record = {
-        "schema_version": TELEMETRY_SCHEMA_VERSION,
-        "event": event,
-        "job_id": job_id,
-        "instance": "",
-        "requested_backend": backend,
-        "backend": "",
-        "status": "error",
-        "objective": 0.0,
-        "num_transfers": 0,
-        "mip_gap": mip_gap,
-        "wall_seconds": wall_seconds,
-        "solver_seconds": 0.0,
-        "cached": False,
-        "fallback_chain": [],
-        "tags": tags,
-        "error": f"{type(exc).__name__}: {exc}",
-    }
-    return JobOutcome(
-        job_id=job_id,
-        result=AllocationResult(status=SolveStatus.ERROR),
-        wall_seconds=wall_seconds,
-        record=record,
-        tags=dict(tags),
-    )

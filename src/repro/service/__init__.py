@@ -3,7 +3,7 @@
 The service layer turns the one-shot solve pipeline into a long-lived
 front door (``letdma serve``): a bounded content-addressed
 :class:`~repro.service.queue.JobQueue` (instance hash = cache key =
-ticket), sharded dispatcher lanes executing through the hardened runner
+ticket), FIFO dispatchers executing through the hardened runner
 worker, request deduplication with fan-out to every waiter, live
 :class:`~repro.service.metrics.ServiceMetrics`, and two interchangeable
 clients (:class:`InProcessClient`, :class:`SocketClient`) speaking the

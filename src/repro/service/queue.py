@@ -14,15 +14,15 @@ through the lifecycle::
 
 The queue is **bounded**: ``capacity`` caps pending + running entries
 and :meth:`JobQueue.submit` raises :class:`QueueFull` beyond it —
-honest backpressure instead of unbounded memory growth.  It is
-**sharded**: every instance hash maps to one of ``shards`` dispatch
-lanes, so horizontally scaled workers never contend for the same slice
-of the hash space.  And it is **persistent** when given a
-``state_dir``: not-yet-finished entries are journaled as one JSON file
-per instance (the full wire-format request), so a restarted service
-re-queues work that was pending when it died; finished results persist
-through the ordinary solve cache, which the instance hash addresses
-directly.
+honest backpressure instead of unbounded memory growth.  It is **one
+FIFO**: every dispatcher claims the oldest pending entry, one at a
+time, so no dispatcher idles while work waits and each job's queue
+wait is measured up to its own claim.  And it is **persistent** when
+given a ``state_dir``: not-yet-finished entries are journaled as one
+JSON file per instance (the full wire-format request), so a restarted
+service re-queues work that was pending when it died; finished results
+persist through the ordinary solve cache, which the instance hash
+addresses directly.
 
 Cancellation is waiter-scoped: :meth:`JobQueue.cancel` detaches one
 waiter, and only a pending entry whose *last* waiter detaches is
@@ -87,7 +87,6 @@ class Job:
         request: The first submitter's request (identical by
             construction to every other submitter's, minus labels).
         instance: Content hash (the queue key and service ticket).
-        shard: Dispatch lane this instance hashes to.
         state: Current :class:`JobState`.
         waiters: Live submissions awaiting the result; cancellation
             decrements it.
@@ -99,7 +98,6 @@ class Job:
 
     request: SolveRequest
     instance: str
-    shard: int
     state: JobState = JobState.PENDING
     waiters: int = 1
     outcome: "SolveOutcome | None" = None
@@ -125,36 +123,26 @@ class Job:
 
 
 class JobQueue:
-    """Bounded, sharded, content-addressed job store (thread-safe)."""
+    """Bounded, content-addressed FIFO job store (thread-safe)."""
 
     def __init__(
         self,
-        shards: int = 1,
         capacity: int = 256,
         state_dir: "str | Path | None" = None,
     ):
-        if shards < 1:
-            raise ValueError("shards must be at least 1")
         if capacity < 1:
             raise ValueError("capacity must be at least 1")
-        self.shards = int(shards)
         self.capacity = int(capacity)
         self.state_dir = Path(state_dir) if state_dir is not None else None
         if self.state_dir is not None:
             self.state_dir.mkdir(parents=True, exist_ok=True)
         self._lock = threading.Lock()
-        self._not_empty = [
-            threading.Condition(self._lock) for _ in range(self.shards)
-        ]
+        self._not_empty = threading.Condition(self._lock)
         self._jobs: dict[str, Job] = {}
-        self._pending: list[deque[str]] = [deque() for _ in range(self.shards)]
+        self._pending: deque[str] = deque()
         self._closed = False
 
     # -- intake ---------------------------------------------------------
-
-    def shard_of(self, instance: str) -> int:
-        """The dispatch lane an instance hash belongs to."""
-        return int(instance, 16) % self.shards
 
     def submit(self, request: SolveRequest) -> tuple[Job, bool]:
         """Enqueue (or join) the job for ``request``.
@@ -166,7 +154,6 @@ class JobQueue:
         when a *new* entry would exceed capacity.
         """
         instance = request.instance
-        shard = self.shard_of(instance)
         with self._lock:
             if self._closed:
                 raise RuntimeError("queue is closed")
@@ -180,48 +167,33 @@ class JobQueue:
             job = Job(
                 request=request,
                 instance=instance,
-                shard=shard,
                 submitted_s=time.monotonic(),
             )
             self._jobs[instance] = job
-            self._pending[shard].append(instance)
+            self._pending.append(instance)
             self._persist(job)
-            self._not_empty[shard].notify()
+            self._not_empty.notify()
             return job, False
 
     # -- dispatch -------------------------------------------------------
 
-    def claim_batch(
-        self, shard: int, max_jobs: int = 1, timeout: "float | None" = None
-    ) -> list[Job]:
-        """Claim up to ``max_jobs`` pending jobs of one shard.
+    def claim(self, timeout: "float | None" = None) -> "Job | None":
+        """Claim the oldest pending job and mark it RUNNING.
 
-        Blocks until at least one job is available (or ``timeout``
-        passes / the queue closes, returning ``[]``).  Claimed jobs are
-        marked RUNNING.
+        Blocks until a job is available; returns None when ``timeout``
+        passes or the queue closes first.
         """
-        condition = self._not_empty[shard]
-        with self._lock:
-            deadline = (
-                None if timeout is None else time.monotonic() + timeout
+        with self._not_empty:
+            self._not_empty.wait_for(
+                lambda: self._pending or self._closed, timeout
             )
-            while not self._pending[shard] and not self._closed:
-                remaining = (
-                    None if deadline is None else deadline - time.monotonic()
-                )
-                if remaining is not None and remaining <= 0:
-                    return []
-                condition.wait(remaining)
-            claimed = []
-            now = time.monotonic()
-            while self._pending[shard] and len(claimed) < max_jobs:
-                instance = self._pending[shard].popleft()
-                job = self._jobs[instance]
-                job.state = JobState.RUNNING
-                job.started_s = now
-                self._persist(job)
-                claimed.append(job)
-            return claimed
+            if not self._pending:
+                return None
+            job = self._jobs[self._pending.popleft()]
+            job.state = JobState.RUNNING
+            job.started_s = time.monotonic()
+            self._persist(job)
+            return job
 
     # -- completion -----------------------------------------------------
 
@@ -249,7 +221,7 @@ class JobQueue:
         Returns what happened: ``"unknown"`` (no such entry),
         ``"detached"`` (other waiters remain, or the solve is already
         running and keeps running), ``"cancelled"`` (last waiter left a
-        pending entry, which was removed from its lane), or
+        pending entry, which was removed from the queue), or
         ``"finished"`` (the entry had already completed).
         """
         with self._lock:
@@ -265,7 +237,7 @@ class JobQueue:
                 return "detached"
             job.state = JobState.CANCELLED
             try:
-                self._pending[job.shard].remove(instance)
+                self._pending.remove(instance)
             except ValueError:  # pragma: no cover - claimed concurrently
                 pass
             self._unpersist(job)
@@ -366,5 +338,4 @@ class JobQueue:
         """Wake all blocked claimers; further submissions raise."""
         with self._lock:
             self._closed = True
-            for condition in self._not_empty:
-                condition.notify_all()
+            self._not_empty.notify_all()

@@ -1,21 +1,23 @@
 """The long-lived solve service and its socket front end.
 
-:class:`SolveService` promotes the one-shot experiment runner into a
-resident service: a bounded, content-addressed
-:class:`~repro.service.queue.JobQueue` feeding horizontally sharded
-worker lanes, each executing requests through the *same* hardened
-worker body the :class:`~repro.runtime.ExperimentRunner` uses
-(retry-with-backoff, error containment), with the persistent solve
-cache as the shared warm store and JSONL telemetry as the flight
-recorder.  Identical instances submitted concurrently collapse to one
-solve whose result fans out to every waiter (request deduplication);
-workers claim small micro-batches per dispatch to amortize process
-round-trips.
+:class:`SolveService` is the one execution engine behind every solve
+grid: a bounded, content-addressed
+:class:`~repro.service.queue.JobQueue` served as one FIFO by ``shards``
+dispatcher threads, each claiming one job at a time and executing it
+through the hardened worker body of :mod:`repro.runtime.jobs`
+(retry-with-backoff, error containment) — in the dispatcher thread, or
+in a process pool with one slot per dispatcher.  The persistent solve
+cache is the shared warm store and JSONL telemetry the flight recorder.
+Identical instances submitted concurrently collapse to one solve whose
+result fans out to every waiter (request deduplication).
 
 :class:`ServiceServer` exposes the service over a local TCP socket as
 newline-delimited JSON (one request object per line, one response
 object per line) — the transport behind
-:class:`repro.service.client.SocketClient` and ``letdma serve``.
+:class:`repro.service.client.SocketClient` and ``letdma serve``.  Its
+``submit`` op also applies *family warm routing*: a request that
+carries no prior gets the most recent proven outcome of its structural
+family as one.
 
 Typical embedding::
 
@@ -44,10 +46,8 @@ from repro.api import (
 )
 from repro.core.formulation import FormulationConfig
 from repro.defaults import (
-    DEFAULT_BATCH_MAX,
     DEFAULT_BREAKER_COOLDOWN_SECONDS,
     DEFAULT_BREAKER_THRESHOLD,
-    DEFAULT_METRICS_INTERVAL_SECONDS,
     DEFAULT_QUEUE_CAPACITY,
     DEFAULT_SERVICE_HOST,
     DEFAULT_SERVICE_SHARDS,
@@ -56,7 +56,7 @@ from repro.defaults import (
 from repro.model.application import Application
 from repro.resilience.breaker import BreakerBoard, run_canary_probe
 from repro.resilience.shim import validate_fault_plan
-from repro.runtime.runner import SolveJob, _execute_with_retries
+from repro.runtime.jobs import SolveJob, execute_with_retries
 from repro.runtime.telemetry import TelemetryWriter
 from repro.service.metrics import ServiceMetrics
 from repro.service.queue import Job, JobQueue, JobState, QueueFull
@@ -74,9 +74,9 @@ def _warm_family(request: SolveRequest) -> str:
     writer/reader wiring, objective, backend) belong to one family even
     when WCETs, periods, deadlines, or label sizes differ — exactly the
     perturbations :mod:`repro.incremental` can reuse or repair.  The
-    service keeps the most recent *proven* outcome per family and
-    offers it as the prior for the next family member; an unusable
-    prior simply degrades to a cold solve.
+    service keeps the most recent *proven* outcome per family, and the
+    socket server's ``submit`` op offers it as the prior for the next
+    family member; an unusable prior simply degrades to a cold solve.
     """
     app = request.app
     data = {
@@ -94,40 +94,6 @@ def _warm_family(request: SolveRequest) -> str:
     return digest[:24]
 
 
-def _execute_many(
-    jobs,
-    cache_dir,
-    deadline_seconds,
-    max_retries,
-    backoff,
-    sandbox=None,
-    skip_backends=(),
-    fault_plan=None,
-):
-    """Worker-side micro-batch body: run each job through the hardened
-    runner worker (module-level so it pickles into processes).
-
-    ``sandbox`` / ``skip_backends`` / ``fault_plan`` carry the
-    service's resilience state across the pool boundary: the sandbox
-    limits travel by value, an open circuit breaker travels as a skip
-    list, and the resulting fallback chains travel back for the parent
-    board to :meth:`~repro.resilience.BreakerBoard.observe`.
-    """
-    return [
-        _execute_with_retries(
-            job,
-            cache_dir,
-            deadline_seconds,
-            max_retries,
-            backoff,
-            sandbox=sandbox,
-            skip_backends=tuple(skip_backends),
-            fault_plan=fault_plan,
-        )
-        for job in jobs
-    ]
-
-
 def _sandbox_failure_kinds(fallback_chain) -> list[str]:
     """Extract sandbox failure kinds from one result's fallback chain."""
     return [
@@ -138,17 +104,17 @@ def _sandbox_failure_kinds(fallback_chain) -> list[str]:
 
 
 class SolveService:
-    """A resident, sharded, deduplicating solve service.
+    """A resident, deduplicating solve service.
 
     Args:
-        shards: Worker lanes; each owns a slice of the instance-hash
-            space, a dispatcher thread, and (with ``use_processes``) a
-            share of the process pool.
+        shards: Dispatchers serving the one FIFO queue; each claims one
+            job at a time and, with ``use_processes``, owns one slot of
+            the process pool.  Telemetry records name the dispatcher
+            that ran the job as ``service.shard``.
         queue_capacity: Bounded pending+running population; submissions
             beyond it raise :class:`~repro.service.queue.QueueFull`.
-        batch_max: Jobs one dispatch claims at once (micro-batching).
-        cache_dir: Persistent solve cache shared by all lanes — the
-            warm store that makes re-submitted instances free.
+        cache_dir: Persistent solve cache shared by all dispatchers —
+            the warm store that makes re-submitted instances free.
         telemetry: Optional JSONL sink: one record per *executed* solve
             (dedup fan-out adds waiters, not records) plus periodic
             ``service_metrics`` records.
@@ -159,11 +125,11 @@ class SolveService:
         max_retries / retry_backoff_seconds: The runner's crash-retry
             hardening, applied per job.
         use_processes: Execute solves in a process pool (one process
-            per lane) instead of the dispatcher threads; required for
-            CPU-bound parallelism, off by default for embedding tests.
-            A worker killed mid-batch (OOM killer, operator, chaos)
-            breaks the pool; the service rebuilds it and retries the
-            batch once before failing the affected jobs typed.
+            per dispatcher) instead of the dispatcher threads; required
+            for CPU-bound parallelism, off by default for embedding
+            tests.  A worker killed mid-solve (OOM killer, operator,
+            chaos) breaks the pool; the service rebuilds it and retries
+            each affected job once before failing it typed.
         metrics_interval_seconds: Cadence of ``service_metrics``
             telemetry records (None disables the sampler thread).
         sandbox: Optional :class:`repro.resilience.SandboxLimits`; when
@@ -184,7 +150,6 @@ class SolveService:
         *,
         shards: int = DEFAULT_SERVICE_SHARDS,
         queue_capacity: int = DEFAULT_QUEUE_CAPACITY,
-        batch_max: int = DEFAULT_BATCH_MAX,
         cache_dir: "str | None" = None,
         telemetry: "TelemetryWriter | str | None" = None,
         state_dir: "str | None" = None,
@@ -198,13 +163,13 @@ class SolveService:
         breaker_cooldown_seconds: float = DEFAULT_BREAKER_COOLDOWN_SECONDS,
         fault_plan: "dict | None" = None,
     ):
-        self.queue = JobQueue(
-            shards=shards, capacity=queue_capacity, state_dir=state_dir
-        )
+        if shards < 1:
+            raise ValueError("shards must be at least 1")
+        self.shards = int(shards)
+        self.queue = JobQueue(capacity=queue_capacity, state_dir=state_dir)
         self.metrics = ServiceMetrics()
         self.telemetry = TelemetryWriter.coerce(telemetry)
         self.cache_dir = cache_dir
-        self.batch_max = max(1, int(batch_max))
         self.deadline_seconds = deadline_seconds
         self.max_retries = int(max_retries)
         self.retry_backoff_seconds = retry_backoff_seconds
@@ -230,14 +195,14 @@ class SolveService:
     # -- lifecycle ------------------------------------------------------
 
     def start(self) -> "SolveService":
-        """Spin up one dispatcher per shard (idempotent)."""
+        """Spin up the dispatchers (idempotent)."""
         if self._started:
             return self
         self._started = True
         if self.use_processes:
             with self._pool_lock:
-                self._pool = ProcessPoolExecutor(max_workers=self.queue.shards)
-        for shard in range(self.queue.shards):
+                self._pool = ProcessPoolExecutor(max_workers=self.shards)
+        for shard in range(self.shards):
             thread = threading.Thread(
                 target=self._dispatch_loop,
                 args=(shard,),
@@ -367,66 +332,63 @@ class SolveService:
 
     def _dispatch_loop(self, shard: int) -> None:
         while not self._stop.is_set():
-            batch = self.queue.claim_batch(
-                shard, max_jobs=self.batch_max, timeout=0.2
-            )
-            if not batch:
+            entry = self.queue.claim(timeout=0.2)
+            if entry is None:
                 self._probe_breakers()
                 continue
-            jobs = [
-                SolveJob(
-                    job_id=entry.request.job_id or entry.instance,
-                    app=entry.request.app,
-                    config=entry.request.resolved_config(),
-                    backend=entry.request.backend,
-                    tags=dict(entry.request.tags),
-                    prior=entry.request.prior or self._recall_prior(entry.request),
-                )
-                for entry in batch
-            ]
+            request = entry.request
+            job = SolveJob(
+                job_id=request.job_id or entry.instance,
+                app=request.app,
+                config=request.resolved_config(),
+                backend=request.backend,
+                tags=dict(request.tags),
+                prior=request.prior,
+            )
             try:
-                outcomes = self._execute_batch(jobs)
-            except Exception as exc:  # dead pool twice, unpicklable payloads
-                for entry in batch:
-                    self._account(entry, None, failed=True)
-                    self.queue.fail(entry, f"{type(exc).__name__}: {exc}")
+                outcome = self._execute(job)
+            except (Exception, KeyboardInterrupt) as exc:
+                # A pool that died twice, an unpicklable payload, or a
+                # pool worker hit by a terminal Ctrl-C, which reports
+                # its KeyboardInterrupt as the job's result.
+                self._account(entry, None, failed=True)
+                self.queue.fail(entry, f"{type(exc).__name__}: {exc}")
                 continue
-            for entry, outcome in zip(batch, outcomes):
-                self.breakers.observe(outcome.result.fallback_chain)
-                self.metrics.record_sandbox_failures(
-                    _sandbox_failure_kinds(outcome.result.fallback_chain)
-                )
-                record = dict(outcome.record)
-                record["service"] = {
-                    "shard": shard,
-                    "waiters": entry.waiters,
-                    "queue_seconds": entry.queue_seconds,
-                }
-                shared = SolveOutcome(
-                    instance=entry.instance,
-                    result=outcome.result,
-                    record=record,
-                )
-                self._write_telemetry(record)
-                # Account *before* finish(): finish() wakes waiters, and
-                # a client reading metrics right after result() must see
-                # its own completion counted.
-                self._account(entry, shared)
-                self.queue.finish(entry, shared)
-                self._remember_prior(entry.request, outcome.result)
+            self.breakers.observe(outcome.result.fallback_chain)
+            self.metrics.record_sandbox_failures(
+                _sandbox_failure_kinds(outcome.result.fallback_chain)
+            )
+            record = dict(outcome.record)
+            record["service"] = {
+                "shard": shard,
+                "waiters": entry.waiters,
+                "queue_seconds": entry.queue_seconds,
+            }
+            shared = SolveOutcome(
+                instance=entry.instance,
+                result=outcome.result,
+                record=record,
+            )
+            self._write_telemetry(record)
+            # Account and remember *before* finish(): finish() wakes
+            # waiters, and a client acting right after result() must see
+            # its own completion counted and its family prior in place.
+            self._account(entry, shared)
+            self._remember_prior(request, outcome.result)
+            self.queue.finish(entry, shared)
 
-    def _execute_batch(self, jobs):
-        """Run one claimed micro-batch, in-process or in the pool.
+    def _execute(self, job: SolveJob):
+        """Run one claimed job, in the dispatcher thread or the pool.
 
-        The circuit-breaker skip list is sampled per batch and crosses
-        the pool boundary by value.  A broken pool (a worker SIGKILLed
-        mid-flight) is rebuilt and the batch retried exactly once —
+        The circuit-breaker skip list is sampled per job and crosses the
+        pool boundary by value.  A broken pool (a worker SIGKILLed
+        mid-flight) is rebuilt and the job retried exactly once —
         solves are deterministic and content-addressed, so a replay is
         always safe; a second failure propagates and the dispatcher
-        fails the batch typed.
+        fails the job typed.
         """
         args = (
-            jobs,
+            job,
             self.cache_dir,
             self.deadline_seconds,
             self.max_retries,
@@ -436,14 +398,14 @@ class SolveService:
             dict(self.fault_plan) or None,
         )
         if not self.use_processes:
-            return _execute_many(*args)
+            return execute_with_retries(*args)
         for attempt in (0, 1):
             with self._pool_lock:
                 pool = self._pool
             if pool is None:
                 raise RuntimeError("service process pool is shut down")
             try:
-                return pool.submit(_execute_many, *args).result()
+                return pool.submit(execute_with_retries, *args).result()
             except Exception:
                 self._rebuild_pool(pool)
                 if attempt:
@@ -456,9 +418,9 @@ class SolveService:
             return
         with self._pool_lock:
             if self._pool is not broken:
-                return  # another shard already rebuilt it
+                return  # another dispatcher already rebuilt it
             broken.shutdown(wait=False, cancel_futures=True)
-            self._pool = ProcessPoolExecutor(max_workers=self.queue.shards)
+            self._pool = ProcessPoolExecutor(max_workers=self.shards)
         self.metrics.record_pool_rebuild()
 
     def _probe_breakers(self) -> None:
@@ -571,6 +533,13 @@ class _Handler(socketserver.StreamRequestHandler):
             return {"ok": True, "pong": True}
         if op == "submit":
             request = request_from_dict(message["request"])
+            if request.prior is None:
+                # Family warm routing is a policy of this front end, so
+                # in-process grids (an ExperimentRunner's own service)
+                # always solve cold.
+                prior = service._recall_prior(request)
+                if prior is not None:
+                    request = replace(request, prior=prior)
             try:
                 ticket = service.submit_request(request)
             except QueueFull as exc:

@@ -7,7 +7,7 @@ import json
 import pytest
 
 import repro.runtime.facade as facade
-import repro.runtime.runner as runner_module
+import repro.runtime.jobs as jobs_module
 from repro.check import FuzzConfig, load_reproducer, replay_reproducer, run_fuzz
 from repro.workloads import random_spec
 import random
@@ -78,7 +78,7 @@ class TestBrokenBackendIsCaught:
         differential runner and shrunk to a corpus reproducer."""
         corpus = tmp_path / "corpus"
         real_solve = facade.solve
-        real_execute = runner_module.execute_request
+        real_execute = jobs_module.execute_request
 
         def broken_solve(app, config=None, **kwargs):
             return _break_greedy(real_solve(app, config, **kwargs))
@@ -92,7 +92,7 @@ class TestBrokenBackendIsCaught:
         with monkeypatch.context() as patch:
             # The runner path (fuzz grid) and the facade path (shrinker
             # predicate) both go through the broken backend.
-            patch.setattr(runner_module, "execute_request", broken_execute)
+            patch.setattr(jobs_module, "execute_request", broken_execute)
             patch.setattr(facade, "solve", broken_solve)
             report = run_fuzz(
                 FuzzConfig(

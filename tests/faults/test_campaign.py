@@ -7,8 +7,16 @@ grids stay tiny so the whole module runs in the fast CI subset.
 import pytest
 
 import repro.faults.batch as batch_module
-import repro.faults.campaign as campaign_module
-from repro.faults import BatchChaosJob, ChaosConfig, chaos_grid, render_chaos_table, run_chaos
+from repro.faults import (
+    BatchChaosJob,
+    ChaosConfig,
+    FaultSpec,
+    chaos_grid,
+    evaluate_robustness,
+    render_chaos_table,
+    run_chaos,
+)
+from repro.reporting.experiments import solve_instance
 from repro.runtime import read_telemetry
 
 TINY = ChaosConfig(
@@ -28,9 +36,11 @@ class TestGrid:
             seeds=(0, 1),
             policies=("stale-data",),
         )
-        jobs = chaos_grid(config)
-        assert len(jobs) == 8
-        assert len({job.job_id for job in jobs}) == 8
+        member_ids = [
+            member_id for job in chaos_grid(config) for member_id in job.member_ids
+        ]
+        assert len(member_ids) == 8
+        assert len(set(member_ids)) == 8
 
     def test_tags_carry_grid_coordinates(self):
         (job,) = chaos_grid(
@@ -39,7 +49,8 @@ class TestGrid:
                 policies=("fail-stop",),
             )
         )
-        assert job.tags == {
+        (member,) = job.members
+        assert member.tags == {
             "alpha": 0.4,
             "intensity": 0.5,
             "seed": 2,
@@ -54,18 +65,18 @@ class TestGrid:
             seeds=(0, 1),
             policies=("stale-data",),
         )
-        batched = chaos_grid(config, batch=True)
+        batched = chaos_grid(config)
         assert len(batched) == 2  # one job per alpha
         assert all(isinstance(job, BatchChaosJob) for job in batched)
-        # The members cover exactly the scalar grid's job ids.
-        scalar_ids = {job.job_id for job in chaos_grid(config)}
-        member_ids = {
-            member_id for job in batched for member_id in job.member_ids
-        }
-        assert member_ids == scalar_ids
+        # Each alpha's members cover exactly its fault cross product.
+        for job in batched:
+            assert {member.tags["alpha"] for member in job.members} == {
+                job.alpha
+            }
+            assert len(job.member_ids) == 4
 
     def test_narrow_restricts_members(self):
-        (job,) = chaos_grid(TINY, batch=True)
+        (job,) = chaos_grid(TINY)
         keep = job.member_ids[:1]
         narrowed = job.narrow(keep)
         assert narrowed.member_ids == keep
@@ -91,16 +102,20 @@ class TestRunChaos:
         assert not by_intensity[(1.0, "stale-data")]["clean"]
 
     def test_batched_and_scalar_campaigns_agree(self, tmp_path):
-        batched = run_chaos(
-            TINY, telemetry=tmp_path / "batched.jsonl", batch=True
+        """Every batched member's robustness record equals the scalar
+        engine's report on the same solved allocation."""
+        outcomes = run_chaos(TINY, telemetry=tmp_path / "batched.jsonl")
+        app, _ = solve_instance(
+            TINY.objective, 0.3, backend=TINY.backend, verify=False
         )
-        scalar = run_chaos(
-            TINY, telemetry=tmp_path / "scalar.jsonl", batch=False
-        )
-        assert [o.job_id for o in batched] == [o.job_id for o in scalar]
-        for fast, slow in zip(batched, scalar):
-            a = fast.record["robustness"]
-            b = slow.record["robustness"]
+        assert len(outcomes) == 4
+        for outcome in outcomes:
+            tags = outcome.record["tags"]
+            spec = FaultSpec.from_intensity(tags["intensity"], seed=tags["seed"])
+            expected = evaluate_robustness(
+                app, outcome.result, spec, policy=tags["policy"]
+            ).to_record()
+            got = outcome.record["robustness"]
             for key in (
                 "policy",
                 "total_jobs",
@@ -110,39 +125,7 @@ class TestRunChaos:
                 "max_staleness",
                 "clean",
             ):
-                assert a[key] == b[key], (fast.job_id, key)
-
-    def test_killed_campaign_resumes_without_reexecuting(
-        self, tmp_path, monkeypatch
-    ):
-        """Acceptance: a chaos campaign killed mid-run continues via
-        resume, re-running only the grid points that never finished."""
-        telemetry = tmp_path / "chaos.jsonl"
-        run_chaos(TINY, telemetry=telemetry, batch=False)
-        # Simulate a SIGKILL mid-append: drop the last full record and
-        # leave a torn fragment of it behind.
-        lines = telemetry.read_text().splitlines()
-        assert len(lines) == 4
-        telemetry.write_text("\n".join(lines[:3]) + "\n" + lines[3][:31])
-
-        evaluated = []
-        real_evaluate = campaign_module.evaluate_robustness
-
-        def counting_evaluate(app, result, spec, **kwargs):
-            evaluated.append(spec.seed)
-            return real_evaluate(app, result, spec, **kwargs)
-
-        monkeypatch.setattr(
-            campaign_module, "evaluate_robustness", counting_evaluate
-        )
-        outcomes = run_chaos(
-            TINY, telemetry=telemetry, resume=True, batch=False
-        )
-        assert [o.resumed for o in outcomes] == [True, True, True, False]
-        assert len(evaluated) == 1  # only the torn point re-ran
-        records = read_telemetry(telemetry)
-        assert len(records) == 4
-        assert len({r["job_id"] for r in records}) == 4
+                assert got[key] == expected[key], (outcome.job_id, key)
 
     def test_killed_batched_campaign_resumes_narrowed(
         self, tmp_path, monkeypatch
@@ -150,7 +133,7 @@ class TestRunChaos:
         """A batched campaign resumes at grid-point granularity: the
         batch job is narrowed to the members missing from telemetry."""
         telemetry = tmp_path / "chaos.jsonl"
-        run_chaos(TINY, telemetry=telemetry, batch=True)
+        run_chaos(TINY, telemetry=telemetry)
         lines = telemetry.read_text().splitlines()
         assert len(lines) == 4  # one line per member, not per batch
         telemetry.write_text("\n".join(lines[:3]) + "\n" + lines[3][:31])
@@ -182,24 +165,9 @@ class TestRunChaos:
             "evaluate_robustness_batch",
             lambda *a, **k: pytest.fail("resumed campaign re-evaluated"),
         )
-        monkeypatch.setattr(
-            campaign_module,
-            "evaluate_robustness",
-            lambda *a, **k: pytest.fail("resumed campaign re-evaluated"),
-        )
         outcomes = run_chaos(TINY, telemetry=telemetry, resume=True)
         assert all(o.resumed for o in outcomes)
         assert len(read_telemetry(telemetry)) == 4
-
-    def test_scalar_checkpoint_resumes_under_batch_mode(self, tmp_path):
-        """Job-id compatibility: a campaign checkpointed by the scalar
-        path is fully resumed by the batched path (and vice versa)."""
-        telemetry = tmp_path / "chaos.jsonl"
-        run_chaos(TINY, telemetry=telemetry, batch=False)
-        outcomes = run_chaos(
-            TINY, telemetry=telemetry, resume=True, batch=True
-        )
-        assert all(o.resumed for o in outcomes)
 
 
 class TestRendering:

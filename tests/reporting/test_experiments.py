@@ -94,6 +94,37 @@ class TestRunTable1:
         ]
 
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_local_grids_solve_cold(self, small_app, jobs):
+        """The runner's own service never warm-starts one grid point
+        from another: Table I's times are cold times."""
+        rows = run_table1(
+            alphas=(0.3, 0.4, 0.5, 0.6),
+            objectives=(Objective.MIN_TRANSFERS,),
+            time_limit_seconds=30,
+            app=small_app,
+            jobs=jobs,
+        )
+        assert len(rows) == 4
+        assert [row.warm_start for row in rows] == ["none"] * 4
+
+
+    def test_resumed_rows_match_the_first_run(self, small_app, tmp_path):
+        kwargs = dict(
+            alphas=(0.3, 0.5),
+            objectives=(Objective.MIN_TRANSFERS,),
+            time_limit_seconds=30,
+            app=small_app,
+            telemetry=tmp_path / "t.jsonl",
+        )
+        first = run_table1(**kwargs)
+        resumed = run_table1(resume=True, **kwargs)
+        assert [r.as_tuple()[:2] + r.as_tuple()[3:] for r in resumed] == [
+            r.as_tuple()[:2] + r.as_tuple()[3:] for r in first
+        ]
+        assert [r.backend for r in resumed] == [r.backend for r in first]
+
+
 class TestRunFig2Panel:
     def test_panel_structure(self, small_app):
         panel = run_fig2_panel(

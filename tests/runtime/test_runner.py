@@ -1,5 +1,10 @@
 """Tests for the parallel experiment runner."""
 
+import multiprocessing
+import os
+import signal
+import threading
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -12,8 +17,10 @@ from repro.runtime import (
     ExperimentRunner,
     RunInterrupted,
     SolveJob,
+    build_solve_record,
     read_telemetry,
 )
+from repro.workloads import WorkloadSpec, generate_application
 
 pytestmark = pytest.mark.runtime
 
@@ -236,6 +243,141 @@ class TestParallel:
         assert [r["job_id"] for r in records] == [j.job_id for j in grid]
 
 
+def time_limited_grid(count, prefix):
+    """``count`` distinct solves that each run into a 0.3 s budget."""
+    config = FormulationConfig(
+        objective=Objective.MIN_DELAY_RATIO, time_limit_seconds=0.3
+    )
+    return [
+        SolveJob(
+            f"{prefix}-{seed}",
+            generate_application(
+                WorkloadSpec(
+                    num_tasks=4,
+                    num_cores=2,
+                    total_utilization=0.5,
+                    communication_density=0.6,
+                    periods_ms=(5, 10, 20),
+                    seed=seed,
+                )
+            ),
+            config,
+            backend="highs",
+        )
+        for seed in range(count)
+    ]
+
+
+class TestServiceExecution:
+    def test_killed_worker_does_not_fail_the_grid(self):
+        """A pool worker SIGKILLed mid-grid is replaced and its job
+        replayed; no grid point becomes an ERROR outcome."""
+        grid = time_limited_grid(8, "kill")
+        earlier = {child.pid for child in multiprocessing.active_children()}
+        killed = []
+
+        def kill_one_worker():
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                workers = [
+                    child.pid
+                    for child in multiprocessing.active_children()
+                    if child.pid not in earlier
+                ]
+                if workers:
+                    os.kill(workers[0], signal.SIGKILL)
+                    killed.append(workers[0])
+                    return
+                time.sleep(0.01)
+
+        killer = threading.Thread(target=kill_one_worker, daemon=True)
+        killer.start()
+        outcomes = ExperimentRunner(jobs=2).run(grid)
+        killer.join(timeout=5)
+        assert killed
+        assert [o.job_id for o in outcomes] == [j.job_id for j in grid]
+        errors = [o.job_id for o in outcomes if o.result.status is SolveStatus.ERROR]
+        assert errors == []
+
+    def test_sigint_stops_a_parallel_solve_grid_promptly(self, tmp_path):
+        telemetry = tmp_path / "run.jsonl"
+        grid = time_limited_grid(16, "int")
+        sent = []
+
+        def interrupt_after_first_record():
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                if telemetry.exists() and telemetry.read_text().strip():
+                    break
+                time.sleep(0.01)
+            sent.append(time.monotonic())
+            os.kill(os.getpid(), signal.SIGINT)
+
+        threading.Thread(target=interrupt_after_first_record, daemon=True).start()
+        with pytest.raises(RunInterrupted) as excinfo:
+            ExperimentRunner(jobs=2, telemetry=telemetry).run(grid)
+        assert time.monotonic() - sent[0] < 2.0
+        finished = [o.job_id for o in excinfo.value.outcomes]
+        assert 0 < len(finished) < len(grid)
+        assert [r["job_id"] for r in read_telemetry(telemetry)] == finished
+
+        outcomes = ExperimentRunner(
+            jobs=2, telemetry=telemetry, resume=True
+        ).run(grid)
+        assert [o.job_id for o in outcomes] == [j.job_id for j in grid]
+        assert [o.resumed for o in outcomes] == [
+            job.job_id in finished for job in grid
+        ]
+        assert all(o.result.status is not SolveStatus.ERROR for o in outcomes)
+        assert len(read_telemetry(telemetry)) == len(grid)
+
+
+class TestRecordKeys:
+    def test_every_record_carries_the_solve_record_keys(
+        self, tmp_path, simple_app
+    ):
+        """Solve, error and chaos-member records are all built from
+        the one schema-v1 builder; a chaos record keeps its solve's
+        fallback chain."""
+        from repro.faults import ChaosConfig, run_chaos
+
+        keys = set(
+            build_solve_record(
+                instance="",
+                requested_backend="",
+                result=AllocationResult(status=SolveStatus.OPTIMAL),
+                wall_seconds=0.0,
+                mip_gap=None,
+            )
+        )
+        telemetry = tmp_path / "grid.jsonl"
+        ExperimentRunner(telemetry=telemetry).run(
+            [
+                SolveJob("solve", simple_app),
+                SolveJob("error", simple_app, backend="bogus"),
+            ]
+        )
+        chaos = run_chaos(
+            ChaosConfig(
+                alphas=(0.3,),
+                intensities=(0.0, 1.0),
+                backend="greedy",
+            ),
+            telemetry=tmp_path / "chaos.jsonl",
+        )
+        records = read_telemetry(telemetry) + read_telemetry(
+            tmp_path / "chaos.jsonl"
+        )
+        assert [r["event"] for r in records] == ["solve", "solve", "chaos", "chaos"]
+        assert records[1]["status"] == "error"
+        for record in records:
+            assert keys <= set(record), (record["job_id"], keys - set(record))
+        for outcome in chaos:
+            chain = [a.to_dict() for a in outcome.result.fallback_chain]
+            assert chain
+            assert outcome.record["fallback_chain"] == chain
+
+
 @dataclass
 class FlakyJob:
     """Duck-typed campaign job: crashes ``fail_times`` times, then
@@ -272,6 +414,37 @@ class FlakyJob:
             "tags": dict(self.tags),
         }
         return result, record
+
+
+def _sleep_when_ready(ready):
+    ready.set()
+    time.sleep(30)
+
+
+@dataclass
+class ForkingJob:
+    """Campaign job that forks a child while the runner's signal
+    handlers are installed (as a solve pool does), SIGTERMs it once it
+    runs, and records the child's exit code."""
+
+    job_id: str
+    exitcodes: list
+    tags: dict = field(default_factory=dict)
+
+    def execute(self, cache_dir, deadline_seconds):
+        context = multiprocessing.get_context("fork")
+        ready = context.Event()
+        child = context.Process(target=_sleep_when_ready, args=(ready,))
+        child.start()
+        ready.wait(timeout=10)
+        child.terminate()
+        child.join(timeout=5)
+        self.exitcodes.append(child.exitcode)
+        if child.is_alive():
+            child.kill()
+            child.join(timeout=5)
+        result = AllocationResult(status=SolveStatus.OPTIMAL)
+        return result, {"job_id": self.job_id, "status": "optimal", "tags": {}}
 
 
 def executions(log_dir, job_id) -> int:
@@ -401,6 +574,14 @@ class TestGracefulInterrupt:
         assert [o.resumed for o in outcomes] == [True, False]
         assert executions(tmp_path, "a") == 1
         assert executions(tmp_path, "b") == 1
+
+    def test_processes_forked_mid_run_still_die_on_sigterm(self):
+        """The graceful-stop handler acts only in the runner's own
+        process: a broken pool terminates its surviving workers with
+        SIGTERM, and a worker that swallowed it would never exit."""
+        exitcodes = []
+        ExperimentRunner().run([ForkingJob("fork", exitcodes)])
+        assert exitcodes == [-signal.SIGTERM]
 
     def test_run_interrupted_is_keyboard_interrupt(self):
         assert issubclass(RunInterrupted, KeyboardInterrupt)

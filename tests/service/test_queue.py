@@ -1,4 +1,4 @@
-"""Tests for the content-addressed, bounded, sharded job queue."""
+"""Tests for the content-addressed, bounded FIFO job queue."""
 
 import threading
 
@@ -7,7 +7,7 @@ import pytest
 from repro.api import SolveOutcome, SolveRequest
 from repro.core import AllocationResult, FormulationConfig
 from repro.milp import SolveStatus
-from repro.service import JobQueue, JobState, QueueFull
+from repro.service import JobQueue, JobState, QueueFull, SolveService
 
 
 def request_for(app, gap=0.0):
@@ -22,7 +22,7 @@ def fake_outcome(instance):
 
 class TestSubmit:
     def test_fresh_submission_is_pending(self, simple_app):
-        queue = JobQueue(shards=2)
+        queue = JobQueue()
         job, deduped = queue.submit(request_for(simple_app))
         assert not deduped
         assert job.state is JobState.PENDING
@@ -61,7 +61,7 @@ class TestSubmit:
     def test_resubmit_after_done_returns_finished_entry(self, simple_app):
         queue = JobQueue()
         job, _ = queue.submit(request_for(simple_app))
-        (claimed,) = queue.claim_batch(0)
+        claimed = queue.claim()
         queue.finish(claimed, fake_outcome(job.instance))
         again, deduped = queue.submit(request_for(simple_app))
         assert deduped
@@ -74,48 +74,32 @@ class TestClaim:
         queue = JobQueue()
         a, _ = queue.submit(request_for(simple_app, gap=0.0))
         b, _ = queue.submit(request_for(simple_app, gap=0.01))
-        claimed = queue.claim_batch(0, max_jobs=8)
+        claimed = [queue.claim(), queue.claim()]
         assert [j.instance for j in claimed] == [a.instance, b.instance]
         assert all(j.state is JobState.RUNNING for j in claimed)
 
-    def test_claim_respects_batch_max(self, simple_app):
-        queue = JobQueue()
-        for i in range(3):
-            queue.submit(request_for(simple_app, gap=0.001 * (i + 1)))
-        assert len(queue.claim_batch(0, max_jobs=2)) == 2
-        assert len(queue.claim_batch(0, max_jobs=2)) == 1
-
     def test_claim_times_out_empty(self):
         queue = JobQueue()
-        assert queue.claim_batch(0, timeout=0.01) == []
-
-    def test_claim_only_sees_own_shard(self, simple_app):
-        queue = JobQueue(shards=4)
-        job, _ = queue.submit(request_for(simple_app))
-        for shard in range(4):
-            if shard == job.shard:
-                continue
-            assert queue.claim_batch(shard, timeout=0.01) == []
-        assert queue.claim_batch(job.shard, timeout=0.01) == [job]
+        assert queue.claim(timeout=0.01) is None
 
     def test_close_wakes_blocked_claimer(self):
         queue = JobQueue()
         got = []
         thread = threading.Thread(
-            target=lambda: got.append(queue.claim_batch(0, timeout=30))
+            target=lambda: got.append(queue.claim(timeout=30))
         )
         thread.start()
         queue.close()
         thread.join(timeout=5)
         assert not thread.is_alive()
-        assert got == [[]]
+        assert got == [None]
 
 
 class TestCompletion:
     def test_finish_wakes_waiters_with_shared_outcome(self, simple_app):
         queue = JobQueue()
         job, _ = queue.submit(request_for(simple_app))
-        (claimed,) = queue.claim_batch(0)
+        claimed = queue.claim()
         outcome = fake_outcome(job.instance)
         queue.finish(claimed, outcome)
         assert job.done.wait(timeout=1)
@@ -126,7 +110,7 @@ class TestCompletion:
     def test_fail_records_error(self, simple_app):
         queue = JobQueue()
         job, _ = queue.submit(request_for(simple_app))
-        (claimed,) = queue.claim_batch(0)
+        claimed = queue.claim()
         queue.fail(claimed, "solver exploded")
         assert job.state is JobState.FAILED
         assert job.error == "solver exploded"
@@ -135,7 +119,7 @@ class TestCompletion:
     def test_finished_entries_leave_the_bounded_population(self, simple_app):
         queue = JobQueue(capacity=1)
         job, _ = queue.submit(request_for(simple_app))
-        (claimed,) = queue.claim_batch(0)
+        claimed = queue.claim()
         queue.finish(claimed, fake_outcome(job.instance))
         # DONE no longer occupies capacity: a fresh instance fits.
         queue.submit(request_for(simple_app, gap=0.01))
@@ -151,7 +135,7 @@ class TestCancel:
         assert queue.cancel(job.instance) == "cancelled"
         assert job.state is JobState.CANCELLED
         assert job.done.is_set()
-        assert queue.claim_batch(job.shard, timeout=0.01) == []
+        assert queue.claim(timeout=0.01) is None
 
     def test_shared_pending_entry_survives_one_cancel(self, simple_app):
         queue = JobQueue()
@@ -164,14 +148,14 @@ class TestCancel:
     def test_running_solve_is_never_killed(self, simple_app):
         queue = JobQueue()
         job, _ = queue.submit(request_for(simple_app))
-        queue.claim_batch(0)
+        queue.claim()
         assert queue.cancel(job.instance) == "detached"
         assert job.state is JobState.RUNNING
 
     def test_cancel_after_done_reports_finished(self, simple_app):
         queue = JobQueue()
         job, _ = queue.submit(request_for(simple_app))
-        (claimed,) = queue.claim_batch(0)
+        claimed = queue.claim()
         queue.finish(claimed, fake_outcome(job.instance))
         assert queue.cancel(job.instance) == "finished"
 
@@ -201,7 +185,7 @@ class TestPersistence:
     def test_running_jobs_revive_as_pending(self, simple_app, tmp_path):
         queue = JobQueue(state_dir=tmp_path)
         job, _ = queue.submit(request_for(simple_app))
-        queue.claim_batch(job.shard)  # dies mid-solve
+        queue.claim()  # dies mid-solve
 
         revived_queue = JobQueue(state_dir=tmp_path)
         assert revived_queue.restore() == 1
@@ -210,7 +194,7 @@ class TestPersistence:
     def test_finished_jobs_leave_no_journal(self, simple_app, tmp_path):
         queue = JobQueue(state_dir=tmp_path)
         job, _ = queue.submit(request_for(simple_app))
-        (claimed,) = queue.claim_batch(job.shard)
+        claimed = queue.claim()
         queue.finish(claimed, fake_outcome(job.instance))
         assert list(tmp_path.glob("*.job.json")) == []
         assert JobQueue(state_dir=tmp_path).restore() == 0
@@ -225,7 +209,7 @@ class TestPersistence:
 class TestValidation:
     def test_shards_and_capacity_must_be_positive(self):
         with pytest.raises(ValueError):
-            JobQueue(shards=0)
+            SolveService(shards=0)
         with pytest.raises(ValueError):
             JobQueue(capacity=0)
 
@@ -234,9 +218,3 @@ class TestValidation:
         queue.close()
         with pytest.raises(RuntimeError, match="closed"):
             queue.submit(request_for(simple_app))
-
-    def test_shard_of_is_stable_and_in_range(self, simple_app):
-        queue = JobQueue(shards=3)
-        instance = request_for(simple_app).instance
-        assert queue.shard_of(instance) == queue.shard_of(instance)
-        assert 0 <= queue.shard_of(instance) < 3

@@ -45,8 +45,7 @@ def test_restart_recovers_in_flight_and_queued_jobs(tmp_path):
     # Simulate a crash mid-solve: one job is claimed (RUNNING in its
     # journal), the rest are still PENDING, and the service dies
     # without finishing anything — no close(), no cleanup.
-    claimed = first.queue.claim_batch(0, max_jobs=1, timeout=1.0)
-    assert len(claimed) == 1
+    assert first.queue.claim(timeout=1.0) is not None
     del first
     second = SolveService(shards=1, state_dir=state_dir)
     assert second.restored_jobs == 4  # RUNNING revives as PENDING too

@@ -10,7 +10,8 @@ import threading
 
 import pytest
 
-from repro.core import FormulationConfig
+from repro.api import SolveRequest
+from repro.core import FormulationConfig, Objective
 from repro.runtime import read_telemetry
 from repro.service import (
     InProcessClient,
@@ -18,6 +19,7 @@ from repro.service import (
     ServiceRejected,
     SolveService,
 )
+from repro.workloads import WorkloadSpec, generate_application
 
 pytestmark = pytest.mark.runtime
 
@@ -111,6 +113,49 @@ class TestDedup:
             assert again.result.objective_value == first.result.objective_value
             assert service.metrics_snapshot()["dedup_hits"] == 1
         assert len(solve_records(telemetry, instance=first.instance)) == 1
+
+
+class TestFifoDispatch:
+    def test_fast_request_overtakes_a_slow_one(self, simple_app):
+        """Two dispatchers share one FIFO: a fast request submitted
+        behind a slow one finishes first, even when both hash to the
+        same residue mod 2 (one lane under hash sharding)."""
+        slow_app = generate_application(
+            WorkloadSpec(
+                num_tasks=4,
+                num_cores=2,
+                total_utilization=0.5,
+                communication_density=0.6,
+                periods_ms=(5, 10, 20),
+                seed=7,
+            )
+        )
+        slow = SolveRequest(
+            app=slow_app,
+            config=FormulationConfig(
+                objective=Objective.MIN_DELAY_RATIO, time_limit_seconds=2.0
+            ),
+            backend="bnb",
+        )
+        residue = int(slow.instance, 16) % 2
+        fast = next(
+            request
+            for request in (
+                SolveRequest(
+                    app=simple_app,
+                    config=FormulationConfig(mip_gap=0.01 * step),
+                    backend="greedy",
+                )
+                for step in range(64)
+            )
+            if int(request.instance, 16) % 2 == residue
+        )
+        with SolveService(shards=2) as service:
+            slow_ticket = service.submit_request(slow)
+            fast_ticket = service.submit_request(fast)
+            service.result(fast_ticket, timeout=60)
+            assert service.status(slow_ticket)["state"] == "running"
+            service.result(slow_ticket, timeout=60)
 
 
 class TestCancellation:

@@ -5,7 +5,7 @@ import socket
 
 import pytest
 
-from repro.core import FormulationConfig
+from repro.core import FormulationConfig, Objective
 from repro.service import (
     ServiceError,
     ServiceUnavailable,
@@ -127,3 +127,23 @@ class TestShutdown:
             assert server.stopped.wait(timeout=10)
             client.close()
             server.server_close()
+
+
+class TestFamilyWarmRouting:
+    def test_family_member_submitted_after_its_base_starts_warm(
+        self, running_server
+    ):
+        """The socket front end offers the last proven solve of a
+        request's structural family as its prior."""
+        from tests.incremental.conftest import make_app, with_wcet
+
+        config = FormulationConfig(
+            objective=Objective.MIN_TRANSFERS, time_limit_seconds=30
+        )
+        base = make_app()
+        with SocketClient(*running_server.address) as client:
+            first = client.solve(base, config, timeout=60)
+            assert first.result.warm_start == "none"
+            member = client.solve(with_wcet(base, "A", 650.0), config, timeout=60)
+        assert member.instance != first.instance
+        assert member.result.warm_start in ("reused", "repaired")
