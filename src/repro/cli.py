@@ -156,7 +156,8 @@ def _grid_parent() -> argparse.ArgumentParser:
         type=_positive_int,
         default=1,
         help="dispatchers (and, above 1, worker processes) of the solve "
-        "grid's in-process service (default: 1)",
+        "grid's in-process service; chaos campaigns run one alpha at a "
+        "time whatever this is (default: 1)",
     )
     parent.add_argument(
         "--telemetry",

@@ -163,10 +163,13 @@ def run_table1(
 ) -> list[Table1Row]:
     """The Table I experiment: times and transfer counts per config.
 
-    ``jobs > 1`` fans the grid across that many worker processes; rows
-    come back in grid order either way, and every row is a cold solve.  ``resume`` skips grid points already
-    recorded in ``telemetry``; ``client`` routes solves through a
-    running solve service (see :mod:`repro.service`).
+    ``jobs > 1`` runs the grid on a solve service with that many
+    worker processes; rows come back in grid order either way, and
+    every row is a cold solve.  ``client`` routes solves through a
+    running solve service instead (see :mod:`repro.service`); a
+    ``letdma serve`` socket service warm-routes requests that carry no
+    prior, so those rows can read ``reused`` or ``repaired``.
+    ``resume`` skips grid points already recorded in ``telemetry``.
 
     ``warm`` runs the grid sequentially in-process, chaining each grid
     point's solve as a :class:`repro.incremental.Prior` for the next

@@ -260,7 +260,7 @@ class ExperimentRunner:
                         time.sleep(0.05)
                     continue
                 except Exception as exc:
-                    self._harvest(error_outcome(job, 0.0, exc), outcomes)
+                    self._harvest_error(job, exc, outcomes)
                     break
                 inflight.append((job, ticket))
                 break
@@ -287,7 +287,7 @@ class ExperimentRunner:
             except TimeoutError:
                 continue
             except Exception as exc:
-                self._harvest(error_outcome(job, 0.0, exc), outcomes)
+                self._harvest_error(job, exc, outcomes)
                 return
         record = dict(outcome.record)
         record["job_id"] = job.job_id
@@ -303,6 +303,16 @@ class ExperimentRunner:
             ),
             outcomes,
         )
+
+    def _harvest_error(self, job, exc: Exception, outcomes: dict) -> None:
+        """Record a failed submission or result as an ``ERROR`` outcome.
+
+        A failure that arrives once a stop was requested is dropped: it
+        may be the Ctrl-C itself, and an unrecorded point is one that
+        ``--resume`` solves again.
+        """
+        if not self._interrupted:
+            self._harvest(error_outcome(job, 0.0, exc), outcomes)
 
     def _harvest(self, outcome, outcomes: dict) -> None:
         """Record one harvested result — a single outcome, or the list
@@ -338,9 +348,11 @@ class ExperimentRunner:
         at the next job boundary (main thread only; a no-op context
         elsewhere, where ``signal.signal`` is unavailable).
 
-        Solve pool workers fork mid-run and inherit the handlers.  In
-        any process but this one a signal gets the handling it had
-        before the run, so a broken pool can still terminate them.
+        Solve pool workers fork mid-run and inherit the handlers.  They
+        ignore SIGINT: a terminal Ctrl-C reaches the whole process
+        group, and only the runner decides where the grid stops.  A
+        SIGTERM gets the handling it had before the run, so a broken
+        pool can still terminate its workers.
         """
         runner = self
         owner = os.getpid()
@@ -354,9 +366,9 @@ class ExperimentRunner:
                 def request_stop(signum, frame):
                     if os.getpid() == owner:
                         runner._interrupted = True
-                        return
-                    signal.signal(signum, self.previous[signum] or signal.SIG_DFL)
-                    os.kill(os.getpid(), signum)
+                    elif signum == signal.SIGTERM:
+                        signal.signal(signum, self.previous[signum] or signal.SIG_DFL)
+                        os.kill(os.getpid(), signum)
 
                 for signum in (signal.SIGINT, signal.SIGTERM):
                     self.previous[signum] = signal.signal(signum, request_stop)

@@ -14,9 +14,9 @@ result fans out to every waiter (request deduplication).
 :class:`ServiceServer` exposes the service over a local TCP socket as
 newline-delimited JSON (one request object per line, one response
 object per line) — the transport behind
-:class:`repro.service.client.SocketClient` and ``letdma serve``.  Its
-``submit`` op also applies *family warm routing*: a request that
-carries no prior gets the most recent proven outcome of its structural
+:class:`repro.service.client.SocketClient` and ``letdma serve``.  It
+turns on *family warm routing*: its ``submit`` op gives a request that
+carries no prior the most recent proven outcome of its structural
 family as one.
 
 Typical embedding::
@@ -183,8 +183,9 @@ class SolveService:
         self.fault_plan = validate_fault_plan(fault_plan)
         self._telemetry_lock = threading.Lock()
         self._warm_lock = threading.Lock()
-        #: family hash -> most recent proven Prior (bounded, LRU-ish).
-        self._warm_memory: dict = {}
+        #: family hash -> most recent proven Prior (bounded, LRU-ish);
+        #: None until :meth:`enable_warm_routing`.
+        self._warm_memory: "dict | None" = None
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
         self._pool: "ProcessPoolExecutor | None" = None
@@ -440,16 +441,30 @@ class SolveService:
             self.breakers.note_probe(backend, ok)
             self.metrics.record_probe(ok)
 
-    def _recall_prior(self, request: SolveRequest):
-        """The remembered proven prior of the request's family, if any."""
+    # -- family warm routing -------------------------------------------
+
+    def enable_warm_routing(self) -> None:
+        """Remember each structural family's latest proven outcome for
+        :meth:`warm_prior`.  :class:`ServiceServer` turns this on; a
+        service used in-process (an ``ExperimentRunner``'s own) never
+        does, so it retains nothing and its grids solve cold.
+        """
         with self._warm_lock:
+            if self._warm_memory is None:
+                self._warm_memory = {}
+
+    def warm_prior(self, request: SolveRequest):
+        """The remembered proven prior of ``request``'s family, if any."""
+        with self._warm_lock:
+            if self._warm_memory is None:
+                return None
             return self._warm_memory.get(_warm_family(request))
 
     def _remember_prior(self, request: SolveRequest, result) -> None:
         """Retain a proven outcome as its family's warm-start prior."""
         from repro.io.cache import CACHEABLE_STATUSES
 
-        if result.status not in CACHEABLE_STATUSES:
+        if self._warm_memory is None or result.status not in CACHEABLE_STATUSES:
             return
         from repro.incremental.warm import Prior
 
@@ -534,10 +549,7 @@ class _Handler(socketserver.StreamRequestHandler):
         if op == "submit":
             request = request_from_dict(message["request"])
             if request.prior is None:
-                # Family warm routing is a policy of this front end, so
-                # in-process grids (an ExperimentRunner's own service)
-                # always solve cold.
-                prior = service._recall_prior(request)
+                prior = service.warm_prior(request)
                 if prior is not None:
                     request = replace(request, prior=prior)
             try:
@@ -590,6 +602,7 @@ class ServiceServer(socketserver.ThreadingTCPServer):
     def __init__(self, address, service: SolveService):
         super().__init__(address, _Handler)
         self.service = service
+        service.enable_warm_routing()
         #: Set when a ``shutdown`` op arrives (the CLI waits on this).
         self.stopped = threading.Event()
 

@@ -155,6 +155,8 @@ class TestBatchedJobs:
         assert len(read_telemetry(telemetry)) == 2
 
     def test_batched_jobs_run_in_parallel_mode(self, tmp_path):
+        """``jobs=2`` sizes the solve service only: campaign jobs still
+        run in-process, one after another, members in grid order."""
         grid = [
             FakeBatchJob("b1", ["p1", "p2"]),
             FakeBatchJob("b2", ["p3", "p4"]),
@@ -331,6 +333,83 @@ class TestServiceExecution:
         assert all(o.result.status is not SolveStatus.ERROR for o in outcomes)
         assert len(read_telemetry(telemetry)) == len(grid)
 
+    def test_ctrl_c_reaching_pool_workers_records_no_error(self, tmp_path):
+        """A terminal Ctrl-C signals the pool workers as well as the
+        runner.  The workers ignore it, so no grid point is recorded as
+        an ERROR that --resume would then skip."""
+        telemetry = tmp_path / "run.jsonl"
+        grid = time_limited_grid(16, "pgrp")
+        earlier = {child.pid for child in multiprocessing.active_children()}
+        signalled = []
+
+        def interrupt_workers_then_runner():
+            deadline = time.monotonic() + 30
+            while time.monotonic() < deadline:
+                if telemetry.exists() and telemetry.read_text().strip():
+                    break
+                time.sleep(0.01)
+            for child in multiprocessing.active_children():
+                if child.pid not in earlier:
+                    os.kill(child.pid, signal.SIGINT)
+                    signalled.append(child.pid)
+            # Long enough for a worker killed by it to fail its job.
+            time.sleep(0.5)
+            os.kill(os.getpid(), signal.SIGINT)
+
+        threading.Thread(target=interrupt_workers_then_runner, daemon=True).start()
+        with pytest.raises(RunInterrupted) as excinfo:
+            ExperimentRunner(jobs=2, telemetry=telemetry).run(grid)
+        assert signalled
+        records = read_telemetry(telemetry)
+        assert [r["job_id"] for r in records if r["status"] == "error"] == []
+        finished = {o.job_id for o in excinfo.value.outcomes}
+        assert len(finished) < len(grid)
+
+        outcomes = ExperimentRunner(
+            jobs=2, telemetry=telemetry, resume=True
+        ).run(grid)
+        assert [o.resumed for o in outcomes] == [
+            job.job_id in finished for job in grid
+        ]
+        assert all(o.result.status is not SolveStatus.ERROR for o in outcomes)
+
+    def test_failure_arriving_with_the_interrupt_is_not_recorded(
+        self, tmp_path, simple_app
+    ):
+        """A job that fails as the Ctrl-C lands (its worker was hit by
+        the same signal) stays unrecorded, so --resume solves it."""
+        telemetry = tmp_path / "run.jsonl"
+        grid = [
+            SolveJob("a", simple_app),
+            SolveJob(
+                "b",
+                simple_app,
+                FormulationConfig(objective=Objective.MIN_TRANSFERS),
+            ),
+        ]
+        with pytest.raises(RunInterrupted) as excinfo:
+            ExperimentRunner(
+                telemetry=telemetry, client=FailsWithInterruptClient()
+            ).run(grid)
+        assert excinfo.value.outcomes == []
+        assert not telemetry.exists() or read_telemetry(telemetry) == []
+
+        outcomes = ExperimentRunner(telemetry=telemetry, resume=True).run(grid)
+        assert [o.resumed for o in outcomes] == [False, False]
+        assert all(o.result.status is SolveStatus.OPTIMAL for o in outcomes)
+
+
+class FailsWithInterruptClient:
+    """Service client whose results fail just as a SIGINT reaches the
+    runner, as when a pool worker dies of the same Ctrl-C."""
+
+    def submit_request(self, request):
+        return request.job_id
+
+    def result(self, ticket, timeout=None):
+        os.kill(os.getpid(), signal.SIGINT)
+        raise RuntimeError(f"solve {ticket} failed: KeyboardInterrupt")
+
 
 class TestRecordKeys:
     def test_every_record_carries_the_solve_record_keys(
@@ -429,6 +508,7 @@ class ForkingJob:
 
     job_id: str
     exitcodes: list
+    interrupt_first: bool = False
     tags: dict = field(default_factory=dict)
 
     def execute(self, cache_dir, deadline_seconds):
@@ -437,6 +517,10 @@ class ForkingJob:
         child = context.Process(target=_sleep_when_ready, args=(ready,))
         child.start()
         ready.wait(timeout=10)
+        if self.interrupt_first:
+            os.kill(child.pid, signal.SIGINT)
+            time.sleep(0.2)
+            self.exitcodes.append(child.exitcode)
         child.terminate()
         child.join(timeout=5)
         self.exitcodes.append(child.exitcode)
@@ -582,6 +666,15 @@ class TestGracefulInterrupt:
         exitcodes = []
         ExperimentRunner().run([ForkingJob("fork", exitcodes)])
         assert exitcodes == [-signal.SIGTERM]
+
+    def test_processes_forked_mid_run_ignore_sigint(self):
+        """A terminal Ctrl-C reaches pool workers too; they leave the
+        stop to the runner and keep running."""
+        exitcodes = []
+        ExperimentRunner().run(
+            [ForkingJob("fork", exitcodes, interrupt_first=True)]
+        )
+        assert exitcodes == [None, -signal.SIGTERM]
 
     def test_run_interrupted_is_keyboard_interrupt(self):
         assert issubclass(RunInterrupted, KeyboardInterrupt)

@@ -5,6 +5,7 @@ import socket
 
 import pytest
 
+from repro.api import SolveRequest
 from repro.core import FormulationConfig, Objective
 from repro.service import (
     ServiceError,
@@ -147,3 +148,24 @@ class TestFamilyWarmRouting:
             member = client.solve(with_wcet(base, "A", 650.0), config, timeout=60)
         assert member.instance != first.instance
         assert member.result.warm_start in ("reused", "repaired")
+
+    def test_only_a_socket_front_end_turns_the_family_memory_on(self):
+        """A service used in-process retains no family priors; one
+        behind a socket front end does."""
+        from tests.incremental.conftest import make_app, with_wcet
+
+        config = FormulationConfig(
+            objective=Objective.MIN_TRANSFERS, time_limit_seconds=30
+        )
+        base = SolveRequest(app=make_app(), config=config)
+        member = SolveRequest(app=with_wcet(make_app(), "A", 650.0), config=config)
+        with SolveService(shards=1) as service:
+            service.result(service.submit_request(base), timeout=60)
+            assert service.warm_prior(member) is None
+            server = serve(service, port=0)
+            try:
+                service.result(service.submit_request(member), timeout=60)
+                assert service.warm_prior(base) is not None
+            finally:
+                server.shutdown()
+                server.server_close()
