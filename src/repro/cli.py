@@ -47,8 +47,8 @@ Exit codes (one contract for every command):
 
 ====  =============================================================
    0  success (including "nothing left to do")
-   1  ran, but found a failure: fuzz disagreement, bench regression,
-      verification violation, unreachable service, failed smoke
+   1  ran, but found a failure: fuzz disagreement, verification
+      violation, unreachable service, failed smoke
    2  usage error (bad flags or flag combinations; argparse itself
       uses the same code) — including a service submission rejected
       by the bounded queue (the message carries depth/capacity and a
@@ -270,9 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument(
         "--warm",
         action="store_true",
-        help="solve the grid sequentially, warm-starting each alpha "
-        "from the previous solve of the same objective (incremental "
-        "re-solve; answers are identical to a cold sweep)",
+        help="solve the grid sequentially in-process, warm-starting each "
+        "alpha from the previous solve of the same objective (incremental "
+        "re-solve; answers are identical to a cold sweep); cannot be "
+        "combined with --resume or --service",
     )
 
     p_telemetry = sub.add_parser(
@@ -610,62 +611,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_verify.add_argument("allocation", help="allocation file (.json)")
 
-    p_bench = sub.add_parser(
-        "bench",
-        help="run the tracked performance microbenchmarks "
-        "(solver + simulator hot paths) and compare against a baseline",
-    )
-    p_bench.add_argument(
-        "--scenario",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="run only this scenario (repeatable; default: all)",
-    )
-    p_bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="run only the CI smoke subset (sub-second scenarios)",
-    )
-    p_bench.add_argument(
-        "--repeat",
-        type=_positive_int,
-        default=3,
-        help="executions per scenario, best wall time kept (default: 3)",
-    )
-    p_bench.add_argument(
-        "--out",
-        default=None,
-        metavar="PATH",
-        help="write the session as a BENCH json file "
-        "(default: BENCH_<rev>.json in the working directory)",
-    )
-    p_bench.add_argument(
-        "--compare",
-        default=None,
-        metavar="PATH",
-        const="benchmarks/baselines/BENCH_baseline.json",
-        nargs="?",
-        help="compare against a baseline file and exit non-zero on "
-        "regression (default file: the tracked baseline)",
-    )
-    p_bench.add_argument(
-        "--threshold",
-        type=float,
-        default=0.5,
-        help="relative slowdown tolerated before a scenario counts as "
-        "regressed (default: 0.5 = 50%%)",
-    )
-    p_bench.add_argument(
-        "--list", action="store_true", help="list scenarios and exit"
-    )
     return parser
 
 
-def _interrupted_exit(command: str, telemetry, resumable: bool = False) -> int:
-    """Shared Ctrl-C epilogue for campaign commands: summarize what was
-    flushed before the interrupt and exit with the conventional 130."""
-    print(f"{command}: interrupted", file=sys.stderr)
+def _interrupted_exit(args) -> int:
+    """The one Ctrl-C epilogue: summarize what the command flushed to
+    its ``--telemetry`` sink before the interrupt and exit with 130."""
+    print(f"{args.command}: interrupted", file=sys.stderr)
+    if not hasattr(args, "telemetry"):
+        return EXIT_INTERRUPTED
+    telemetry = args.telemetry
     if telemetry:
         from repro.runtime import read_telemetry, render_telemetry_summary
 
@@ -679,7 +634,7 @@ def _interrupted_exit(command: str, telemetry, resumable: bool = False) -> int:
         )
         if records:
             print(render_telemetry_summary(records))
-        if resumable:
+        if hasattr(args, "resume") and not getattr(args, "warm", False):
             print(
                 f"continue with: --resume --telemetry {telemetry}",
                 file=sys.stderr,
@@ -689,7 +644,7 @@ def _interrupted_exit(command: str, telemetry, resumable: bool = False) -> int:
             "no --telemetry sink was set; completed work was discarded",
             file=sys.stderr,
         )
-    return 130
+    return EXIT_INTERRUPTED
 
 
 def _cmd_serve(args) -> int:
@@ -778,6 +733,13 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "resume", False) and not getattr(args, "telemetry", None):
         print("error: --resume needs --telemetry", file=sys.stderr)
         return EXIT_USAGE
+    if getattr(args, "warm", False) and (args.resume or args.service is not None):
+        print(
+            "error: --warm solves in-process, so it takes neither --resume "
+            "nor --service",
+            file=sys.stderr,
+        )
+        return EXIT_USAGE
     client = None
     if getattr(args, "service", None) is not None:
         from repro.service import ServiceUnavailable, SocketClient
@@ -789,6 +751,8 @@ def main(argv: list[str] | None = None) -> int:
             return EXIT_FAILURE
     try:
         return _dispatch(args, client)
+    except KeyboardInterrupt:
+        return _interrupted_exit(args)
     except Exception as exc:
         from repro.service import ServiceRejected
 
@@ -859,21 +823,18 @@ def _dispatch(args, client) -> int:
         ]
         print(render_table(["alpha", "outcome"], rows, title="Alpha sensitivity"))
     elif args.command == "sweep":
-        try:
-            rows = run_table1(
-                alphas=tuple(args.alphas),
-                objectives=tuple(args.objectives),
-                time_limit_seconds=args.time_limit,
-                jobs=args.jobs,
-                telemetry=args.telemetry,
-                cache_dir=args.cache_dir,
-                backend=args.backend,
-                resume=args.resume,
-                client=client,
-                warm=args.warm,
-            )
-        except KeyboardInterrupt:
-            return _interrupted_exit("sweep", args.telemetry)
+        rows = run_table1(
+            alphas=tuple(args.alphas),
+            objectives=tuple(args.objectives),
+            time_limit_seconds=args.time_limit,
+            jobs=args.jobs,
+            telemetry=args.telemetry,
+            cache_dir=args.cache_dir,
+            backend=args.backend,
+            resume=args.resume,
+            client=client,
+            warm=args.warm,
+        )
         print(
             render_table(
                 [
@@ -1019,28 +980,25 @@ def _dispatch(args, client) -> int:
     elif args.command == "fuzz":
         from repro.check import FuzzConfig, run_fuzz
 
-        try:
-            report = run_fuzz(
-                FuzzConfig(
-                    budget=args.budget,
-                    seed=args.seed,
-                    jobs=args.jobs,
-                    backends=tuple(args.backends),
-                    telemetry=args.telemetry,
-                    cache_dir=args.cache_dir,
-                    resume=args.resume,
-                    corpus_dir=args.corpus,
-                    shrink=not args.no_shrink,
-                    time_limit_seconds=args.time_limit,
-                    check_presolve=args.check_presolve,
-                    check_cuts=args.check_cuts,
-                    check_batch_sim=args.check_batch_sim,
-                    check_warm=args.check_warm,
-                ),
-                client=client,
-            )
-        except KeyboardInterrupt:
-            return _interrupted_exit("fuzz", args.telemetry)
+        report = run_fuzz(
+            FuzzConfig(
+                budget=args.budget,
+                seed=args.seed,
+                jobs=args.jobs,
+                backends=tuple(args.backends),
+                telemetry=args.telemetry,
+                cache_dir=args.cache_dir,
+                resume=args.resume,
+                corpus_dir=args.corpus,
+                shrink=not args.no_shrink,
+                time_limit_seconds=args.time_limit,
+                check_presolve=args.check_presolve,
+                check_cuts=args.check_cuts,
+                check_batch_sim=args.check_batch_sim,
+                check_warm=args.check_warm,
+            ),
+            client=client,
+        )
         print(report.summary())
         if args.telemetry:
             from repro.runtime import read_telemetry, render_telemetry_summary
@@ -1068,17 +1026,14 @@ def _dispatch(args, client) -> int:
             backend=args.backend,
             time_limit_seconds=args.time_limit,
         )
-        try:
-            outcomes = run_chaos(
-                config,
-                jobs=args.jobs,
-                telemetry=args.telemetry,
-                cache_dir=args.cache_dir,
-                resume=args.resume,
-                client=client,
-            )
-        except KeyboardInterrupt:
-            return _interrupted_exit("chaos", args.telemetry, resumable=True)
+        outcomes = run_chaos(
+            config,
+            jobs=args.jobs,
+            telemetry=args.telemetry,
+            cache_dir=args.cache_dir,
+            resume=args.resume,
+            client=client,
+        )
         print(render_chaos_table(outcomes))
         resumed = sum(outcome.resumed for outcome in outcomes)
         if resumed:
@@ -1125,61 +1080,6 @@ def _dispatch(args, client) -> int:
             print("FAILED:")
             for violation in report.violations:
                 print(f"  {violation}")
-            return 1
-    elif args.command == "bench":
-        from repro.perf import (
-            SCENARIOS,
-            check_metric_gates,
-            compare_benchmarks,
-            load_benchmark,
-            render_comparison,
-            run_benchmarks,
-            save_benchmark,
-            to_benchmark_dict,
-        )
-
-        if args.list:
-            for scenario in SCENARIOS:
-                tag = " [quick]" if scenario.quick else ""
-                print(f"{scenario.name:<24} {scenario.description}{tag}")
-            return 0
-        try:
-            results = run_benchmarks(
-                names=args.scenario,
-                quick_only=args.quick,
-                repeat=args.repeat,
-                progress=print,
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        document = to_benchmark_dict(results, repeat=args.repeat)
-        out = args.out or f"BENCH_{document['revision']}.json"
-        save_benchmark(document, out)
-        print(f"wrote {out}")
-        gate_failures = check_metric_gates(document)
-        for message in gate_failures:
-            print(f"METRIC GATE FAILED: {message}", file=sys.stderr)
-        if args.compare is not None:
-            try:
-                baseline = load_benchmark(args.compare)
-            except FileNotFoundError:
-                print(
-                    f"error: no baseline at {args.compare!r}", file=sys.stderr
-                )
-                return 2
-            rows = compare_benchmarks(
-                document, baseline, threshold=args.threshold
-            )
-            print(render_comparison(rows))
-            if any(row.regressed for row in rows):
-                print(
-                    f"FAILED: regression beyond {args.threshold:.0%} "
-                    f"of baseline {baseline.get('revision', '?')}",
-                    file=sys.stderr,
-                )
-                return 1
-        if gate_failures:
             return 1
     return 0
 

@@ -45,8 +45,8 @@ binaries to the first ``k`` slots (a pure bound fixing, undone after
 each probe), clear the objective, and ask the backend for feasibility.
 Stage feasible sets are nested in ``k``, so the first feasible stage
 proves the optimum ``k - 1`` — each stage is a far smaller and tighter
-problem than the full MILP (this is what takes ``solve_highs_waters``
-from ~14 s to seconds).
+problem than the full MILP (this is what takes a HiGHS solve of
+WATERS from ~14 s to seconds).
 """
 
 from __future__ import annotations

@@ -175,9 +175,12 @@ def run_table1(
     point's solve as a :class:`repro.incremental.Prior` for the next
     alpha of the same objective (see :mod:`repro.incremental`).  Warm
     starts only change speed, never answers, so rows are interchangeable
-    with a cold sweep's; ``jobs``/``client``/``resume`` are ignored in
-    this mode because prior chaining is inherently sequential.
+    with a cold sweep's.  Prior chaining is inherently sequential, so
+    ``jobs`` is ignored in this mode, and ``resume`` or ``client``
+    raises ``ValueError``.
     """
+    if warm and (resume or client is not None):
+        raise ValueError("warm=True runs in-process: no resume or client")
     base = app if app is not None else waters_application()
     grid = _waters_grid(
         "table1", base, objectives, tuple(alphas), time_limit_seconds, backend

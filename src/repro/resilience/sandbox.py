@@ -55,7 +55,8 @@ FAILURE_KINDS = ("timeout", "hang", "oom", "crash")
 
 #: Prefer fork-family start methods: model payloads are already in the
 #: parent, so forking keeps per-attempt overhead in the milliseconds
-#: (the <5% overhead gate in ``repro.perf`` depends on this).
+#: (``test_fixed_cost_is_under_5_percent_of_a_waters_solve`` in
+#: ``tests/resilience/test_sandbox.py`` depends on this).
 _START_METHOD = next(
     (
         method

@@ -1,6 +1,10 @@
-"""Shared fixtures: small applications used across the test suite."""
+"""Shared fixtures: small applications used across the test suite, and
+a helper for timing tests that must not depend on earlier tests."""
 
 from __future__ import annotations
+
+import multiprocessing
+from concurrent.futures import ProcessPoolExecutor
 
 import pytest
 
@@ -72,3 +76,16 @@ def multirate_app(platform2: Platform) -> Application:
         Label("f2s", 256, writer="FAST", readers=("SLOW",)),
     ]
     return Application(platform2, tasks, labels)
+
+
+def in_fresh_interpreter(fn, *args):
+    """``fn(*args)``, run in a newly spawned interpreter.
+
+    For timing tests, whose in-process numbers depend on which tests ran
+    before: late in a long run a fork costs more, because it copies the
+    page tables of a larger process, and Python loops run slower.
+    ``fn`` must be defined at module level.
+    """
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(1, mp_context=spawn) as fresh:
+        return fresh.submit(fn, *args).result()

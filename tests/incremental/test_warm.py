@@ -1,8 +1,12 @@
 """Tests for warm-start planning (:mod:`repro.incremental.warm`) and
 the warm channel through the portfolio and request layers."""
 
+from dataclasses import replace
+from statistics import median
+
 import pytest
 
+from repro.api import SolveRequest, execute
 from repro.core import FormulationConfig, LetDmaFormulation, Objective
 from repro.incremental import (
     Prior,
@@ -13,6 +17,7 @@ from repro.incremental import (
     prior_to_dict,
 )
 from repro.runtime.portfolio import solve_with_portfolio
+from repro.waters import waters_application
 
 from tests.incremental.conftest import make_app, with_label_size, with_wcet
 
@@ -179,6 +184,36 @@ class TestWarmEqualsCold:
             verify_allocation(
                 perturbed, warm, check_property3=False
             ).raise_if_failed()
+
+
+class TestWarmSpeed:
+    def test_waters_wcet_delta_costs_a_tenth_of_cold(self):
+        """A 20% WCET bump on one WATERS task leaves the MILP unchanged,
+        so the warm re-solve reuses the prior: through ``execute()``, its
+        median wall time is at most 10% of a cold solve's, measured over
+        interleaved pairs in this process."""
+        app = waters_application()
+        config = FormulationConfig(objective=Objective.MIN_TRANSFERS)
+        base = execute(SolveRequest(app=app, config=config, backend="highs"))
+        first = next(iter(app.tasks))
+        wcet = min(first.wcet_us * 1.2, float(first.period_us))
+        cold = SolveRequest(
+            app=with_wcet(app, first.name, wcet), config=config, backend="highs"
+        )
+        warm = replace(cold, prior=Prior(app, base.result, config))
+
+        reused = execute(warm).result  # warm-up; the base solve was cold's
+        assert reused.warm_start == "reused"
+        assert reused.num_transfers == base.result.num_transfers
+        pairs = [
+            (execute(cold).wall_seconds, execute(warm).wall_seconds)
+            for _ in range(3)
+        ]
+        cold_s, warm_s = (median(side) for side in zip(*pairs))
+        assert warm_s <= 0.10 * cold_s, (
+            f"warm median {warm_s * 1e3:.2f} ms > 10% of cold median "
+            f"{cold_s * 1e3:.1f} ms"
+        )
 
 
 class TestWire:

@@ -217,6 +217,47 @@ class TestExitCodeContract:
         assert main([command, "--resume"]) == EXIT_USAGE
         assert "--telemetry" in capsys.readouterr().err
 
+    def test_warm_sweep_rejects_resume_and_service(self, capsys, tmp_path):
+        from repro.runtime import read_telemetry
+
+        telemetry = tmp_path / "w.jsonl"
+        argv = [
+            "sweep",
+            "--objectives", "no-obj",
+            "--alphas", "0.3", "0.4",
+            "--backend", "greedy",
+            "--warm",
+            "--telemetry", str(telemetry),
+        ]
+        assert main(argv) == EXIT_OK
+        for flag in (["--resume"], ["--service", "127.0.0.1:9"]):
+            assert main(argv + flag) == EXIT_USAGE
+            assert "--warm" in capsys.readouterr().err
+        assert len(read_telemetry(telemetry)) == 2
+
+    @pytest.mark.parametrize(
+        ("command", "runner"),
+        [("table1", "run_table1"), ("alphas", "run_alpha_feasibility")],
+    )
+    def test_interrupt_exits_130_with_a_resume_hint(
+        self, command, runner, capsys, monkeypatch, tmp_path
+    ):
+        from repro.runtime import RunInterrupted
+
+        def interrupted(**_):
+            raise RunInterrupted([])
+
+        monkeypatch.setattr(f"repro.cli.{runner}", interrupted)
+        telemetry = tmp_path / "t.jsonl"
+        try:
+            code = main([command, "--telemetry", str(telemetry)])
+        except KeyboardInterrupt:
+            pytest.fail("the interrupt escaped main()")
+        assert code == EXIT_INTERRUPTED
+        err = capsys.readouterr().err
+        assert f"{command}: interrupted" in err
+        assert f"--resume --telemetry {telemetry}" in err
+
     def test_dead_service_address_exits_1(self, capsys):
         import socket
 

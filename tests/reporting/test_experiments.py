@@ -124,6 +124,15 @@ class TestRunTable1:
         ]
         assert [r.backend for r in resumed] == [r.backend for r in first]
 
+    @pytest.mark.parametrize(
+        "extra", [{"resume": True}, {"client": object()}], ids=["resume", "client"]
+    )
+    def test_warm_grids_run_in_process_only(self, small_app, tmp_path, extra):
+        with pytest.raises(ValueError, match="warm"):
+            run_table1(
+                app=small_app, warm=True, telemetry=tmp_path / "t.jsonl", **extra
+            )
+
 
 class TestRunFig2Panel:
     def test_panel_structure(self, small_app):

@@ -2,12 +2,18 @@
 :class:`BackendFailure` with the right kind, and the happy path returns
 the child's result unchanged."""
 
+from statistics import median
+
 import pytest
 
+from repro.api import SolveRequest, execute
 from repro.core import FormulationConfig, Objective
 from repro.milp.result import SolveStatus
 from repro.resilience import BackendFailure, SandboxLimits, run_rung_sandboxed
+from repro.waters import waters_application
 from repro.workloads import WorkloadSpec, generate_application
+
+from tests.conftest import in_fresh_interpreter
 
 
 @pytest.fixture(scope="module")
@@ -90,3 +96,46 @@ def test_exception_in_child_is_a_crash(tiny_app):
     with pytest.raises(BackendFailure) as excinfo:
         run_rung_sandboxed(tiny_app, bad, "no-such-backend", SandboxLimits())
     assert excinfo.value.kind == "crash"
+
+
+def _fixed_cost_and_waters_seconds(app):
+    """Medians, in seconds: the sandbox's fixed cost on ``app`` and an
+    in-process WATERS solve (see the test below)."""
+    request = SolveRequest(app=app, config=config(), backend="highs")
+    limits = SandboxLimits()
+    assert execute(request, sandbox=limits).status == "optimal"  # warm-ups
+    execute(request)
+    fixed_s = median(
+        execute(request, sandbox=limits).wall_seconds
+        - execute(request).wall_seconds
+        for _ in range(7)
+    )
+    waters = SolveRequest(
+        app=waters_application(),
+        config=FormulationConfig(objective=Objective.MIN_TRANSFERS),
+        backend="highs",
+    )
+    execute(waters)
+    return fixed_s, median(execute(waters).wall_seconds for _ in range(3))
+
+
+def test_fixed_cost_is_under_5_percent_of_a_waters_solve(tiny_app):
+    """The sandbox's fixed cost (fork, pipe heartbeat, rlimits) is at
+    most 5% of an in-process WATERS solve.
+
+    The cost is the median difference over interleaved pairs of
+    sandboxed and in-process executes of the 2-task app, where it is
+    most of the wall time.  Pairs of WATERS solves would spread wider
+    than the 5% this checks.
+
+    Both are measured in a fresh interpreter.  A fork copies the page
+    tables of the process that forks, so the cost grows with its
+    resident size: 9 ms at 41 MB and 36 ms at 640 MB on a 2-vCPU VM.
+    """
+    fixed_s, waters_s = in_fresh_interpreter(
+        _fixed_cost_and_waters_seconds, tiny_app
+    )
+    assert fixed_s <= 0.05 * waters_s, (
+        f"sandbox fixed cost {fixed_s * 1e3:.1f} ms > 5% of the WATERS "
+        f"median {waters_s * 1e3:.0f} ms"
+    )

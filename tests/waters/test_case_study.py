@@ -7,6 +7,8 @@ from repro.analysis import (
     compute_slacks,
     schedulable_with_jitter,
 )
+from repro.api import SolveRequest, execute
+from repro.core import FormulationConfig, Objective
 from repro.let.grouping import active_instants, communications_at
 from repro.model import DmaParameters
 from repro.waters import TASK_NAMES, waters_application, waters_platform
@@ -101,3 +103,24 @@ class TestSensitivity:
         configured = assign_acquisition_deadlines(app, 0.2)
         for name in TASK_NAMES:
             assert configured.tasks[name].acquisition_deadline_us is not None
+
+
+class TestExactSolve:
+    @pytest.mark.parametrize(
+        ("backend", "limit_s"), [("highs", 5.0), ("bnb", 120.0)]
+    )
+    def test_obj_dmat_is_proven_within_budget(self, app, backend, limit_s):
+        """Both exact backends prove WATERS's OBJ-DMAT optimum (6
+        transfers) inside their budget, through ``execute()``."""
+        outcome = execute(
+            SolveRequest(
+                app=app,
+                config=FormulationConfig(
+                    objective=Objective.MIN_TRANSFERS, time_limit_seconds=limit_s
+                ),
+                backend=backend,
+            )
+        )
+        assert outcome.status == "optimal"
+        assert outcome.result.num_transfers == 6
+        assert outcome.wall_seconds < limit_s
