@@ -118,8 +118,9 @@ class SolveOutcome:
             (``backend``, ``fallback_chain``).
         record: The schema-v1 telemetry record describing this solve
             (see :mod:`repro.runtime.telemetry`).
-        deduped: True when this outcome was fanned out from a solve
-            another concurrent request triggered (service dedup); the
+        deduped: True when the service answered this request from a
+            queue entry another request created (service dedup): a
+            shared solve, or that solve's proven answer.  The
             underlying solve ran exactly once.
     """
 
@@ -155,8 +156,6 @@ def execute(
     cache_dir: "str | Path | None" = None,
     deadline_seconds: float | None = None,
     sandbox=None,
-    breakers=None,
-    skip_backends: tuple[str, ...] = (),
     fault_plan: "dict | None" = None,
 ) -> SolveOutcome:
     """Run one request through the cache + portfolio path.
@@ -174,13 +173,11 @@ def execute(
             portfolio rung's time budget (``min`` with the config's own
             limit); excluded from the instance hash, like every time
             budget.
-        sandbox / breakers / skip_backends / fault_plan: Resilience
-            hooks forwarded to
+        sandbox / fault_plan: Resilience hooks forwarded to
             :func:`repro.runtime.solve_with_portfolio` (sandboxed rung
-            execution, circuit-breaker routing, chaos fault
-            injection); like time budgets, they shape *how* a solve
-            runs, never its answer, so none participates in the
-            instance hash.
+            execution, chaos fault injection); like time budgets, they
+            shape *how* a solve runs, never its answer, so neither
+            participates in the instance hash.
     """
     config = request.resolved_config()
     instance = request.instance
@@ -212,8 +209,6 @@ def execute(
             rungs=rungs,
             prior=request.prior,
             sandbox=sandbox,
-            breakers=breakers,
-            skip_backends=tuple(skip_backends),
             fault_plan=fault_plan,
         )
         if cache_path is not None and result.status in CACHEABLE_STATUSES:

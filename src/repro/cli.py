@@ -65,8 +65,6 @@ import sys
 
 from repro.core import Objective
 from repro.defaults import (
-    DEFAULT_BREAKER_COOLDOWN_SECONDS,
-    DEFAULT_BREAKER_THRESHOLD,
     DEFAULT_CACHE_DIR,
     DEFAULT_METRICS_INTERVAL_SECONDS,
     DEFAULT_MILP_BACKEND,
@@ -401,22 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
         f"(default: {DEFAULT_SANDBOX_HEARTBEAT_SECONDS:g})",
     )
     p_serve.add_argument(
-        "--breaker-threshold",
-        type=_positive_int,
-        default=DEFAULT_BREAKER_THRESHOLD,
-        help="consecutive backend failures that open its circuit "
-        f"breaker (default: {DEFAULT_BREAKER_THRESHOLD})",
-    )
-    p_serve.add_argument(
-        "--breaker-cooldown",
-        type=float,
-        default=DEFAULT_BREAKER_COOLDOWN_SECONDS,
-        metavar="SECONDS",
-        help="how long an open breaker fences a backend off before a "
-        "half-open trial or canary probe may restore it "
-        f"(default: {DEFAULT_BREAKER_COOLDOWN_SECONDS:g})",
-    )
-    p_serve.add_argument(
         "--status",
         nargs="?",
         type=_address,
@@ -700,8 +682,6 @@ def _cmd_serve(args) -> int:
         use_processes=args.processes,
         metrics_interval_seconds=args.metrics_interval,
         sandbox=sandbox,
-        breaker_threshold=args.breaker_threshold,
-        breaker_cooldown_seconds=args.breaker_cooldown,
     )
     with service:
         server = serve(service, host=args.host, port=args.port)

@@ -31,8 +31,6 @@ __all__ = [
     "DEFAULT_SANDBOX_RSS_MB",
     "DEFAULT_SANDBOX_HEARTBEAT_SECONDS",
     "DEFAULT_SANDBOX_GRACE_SECONDS",
-    "DEFAULT_BREAKER_THRESHOLD",
-    "DEFAULT_BREAKER_COOLDOWN_SECONDS",
     "DEFAULT_CLIENT_READ_TIMEOUT_SECONDS",
     "DEFAULT_CLIENT_ATTEMPTS",
     "DEFAULT_RETRY_AFTER_SECONDS",
@@ -99,13 +97,6 @@ DEFAULT_SANDBOX_HEARTBEAT_SECONDS: float = 5.0
 #: Wall-clock grace a sandboxed rung gets on top of its solver time
 #: limit before the supervisor declares a timeout and kills it.
 DEFAULT_SANDBOX_GRACE_SECONDS: float = 10.0
-
-#: Consecutive sandbox failures that open a backend's circuit breaker.
-DEFAULT_BREAKER_THRESHOLD: int = 3
-
-#: Seconds an open breaker keeps a backend out of traffic before a
-#: half-open trial (canary probe or live request) may close it again.
-DEFAULT_BREAKER_COOLDOWN_SECONDS: float = 30.0
 
 #: Socket-client read timeout: how long one request/response round
 #: trip may stall before the client retries or gives up.

@@ -1,4 +1,4 @@
-"""Resilience layer: sandboxed solvers, circuit breakers, fsck, chaos.
+"""Resilience layer: sandboxed solvers, fsck, chaos.
 
 The solve system treats its own infrastructure with the same chaos
 discipline :mod:`repro.faults` applies to the modeled LET/DMA system:
@@ -7,9 +7,6 @@ discipline :mod:`repro.faults` applies to the modeled LET/DMA system:
   in a supervised child process with a wall deadline, an RSS ceiling,
   and heartbeat liveness; failures become structured
   :class:`BackendFailure` objects the ladder degrades past.
-* :mod:`repro.resilience.breaker` — per-backend circuit breakers keep
-  traffic off persistently failing backends and restore them via
-  canary probes.
 * :mod:`repro.resilience.journal` — ``letdma fsck``: per-record CRC
   verification with quarantine-and-replay recovery for telemetry and
   queue journals.
@@ -23,7 +20,6 @@ discipline :mod:`repro.faults` applies to the modeled LET/DMA system:
 See ``docs/robustness.md`` ("Service and solver resilience").
 """
 
-from repro.resilience.breaker import BreakerBoard, run_canary_probe
 from repro.resilience.journal import (
     FsckReport,
     fsck_path,
@@ -43,8 +39,6 @@ __all__ = [
     "SandboxLimits",
     "run_sandboxed",
     "run_rung_sandboxed",
-    "BreakerBoard",
-    "run_canary_probe",
     "FsckReport",
     "fsck_path",
     "fsck_telemetry",

@@ -25,9 +25,9 @@ Four phases, each hermetic under its own work directory:
    resolve every ticket of the second wave.
 2. **faulty-backend** — the primary MILP backend is shimmed to
    crash/OOM (and, outside ``--quick``, hang/stall); the sandboxed
-   portfolio must degrade to the next rung for every request, the
-   circuit breaker must open after the configured threshold, and a
-   canary probe must close it again once the fault clears.
+   portfolio must degrade to the next rung for every request, and once
+   the fault clears the next fresh request must be answered by the
+   primary backend again.
 3. **journal-corruption** — jobs are journaled but never started; one
    journal is truncated mid-record and another bit-flipped; ``fsck``
    must quarantine exactly those two, and a fresh service from the
@@ -75,7 +75,7 @@ class ServiceChaosConfig:
             ``requests`` against a queue one third that size).
         seed: Base RNG seed for instance generation.
         quick: CI subset — fewer fault modes, smaller instances,
-            shorter cooldowns; same invariant.
+            shorter sandbox deadlines; same invariant.
         work_dir: Campaign scratch root (a fresh temporary directory
             by default, so runs are hermetic).
         deadline_seconds: Per-ticket wait bound; a ticket still
@@ -239,8 +239,11 @@ def _instances(config: ServiceChaosConfig, salt: int, count: "int | None" = None
     ]
 
 
-def _resolve(service, app, ticket, phase: PhaseReport, deadline: float) -> None:
-    """Drive one ticket to a bucket: verified, typed failure, or lost."""
+def _resolve(service, app, ticket, phase: PhaseReport, deadline: float):
+    """Drive one ticket to a bucket: verified, typed failure, or lost.
+
+    Returns the verified outcome, or None for any other bucket.
+    """
     try:
         outcome = service.result(ticket, timeout=deadline)
     except TimeoutError:
@@ -248,23 +251,23 @@ def _resolve(service, app, ticket, phase: PhaseReport, deadline: float) -> None:
         phase.problems.append(
             f"ticket {ticket[:12]} unresolved after {deadline:g} s"
         )
-        return
+        return None
     except RuntimeError as exc:
         # FAILED/CANCELLED tickets raise with the error attached: the
         # outcome is honest (typed), the work is not lost.
         phase.typed_failures += 1
         phase.details.setdefault("failure_examples", []).append(str(exc)[:160])
-        return
+        return None
     result = outcome.result
     if result.status not in _USABLE:
         phase.typed_failures += 1
         phase.details.setdefault("failure_examples", []).append(
             f"status {result.status.value} from {result.backend}"
         )
-        return
+        return None
     if result.status is SolveStatus.INFEASIBLE:
         phase.verified += 1  # an honest proof, nothing to verify spatially
-        return
+        return outcome
     greedy = result.backend == "greedy"
     verdict = verify_allocation(
         app,
@@ -275,12 +278,13 @@ def _resolve(service, app, ticket, phase: PhaseReport, deadline: float) -> None:
     )
     if verdict.ok:
         phase.verified += 1
-    else:
-        phase.lost += 1
-        phase.problems.append(
-            f"ticket {ticket[:12]} returned an allocation that fails "
-            f"verification: {verdict.violations[:2]}"
-        )
+        return outcome
+    phase.lost += 1
+    phase.problems.append(
+        f"ticket {ticket[:12]} returned an allocation that fails "
+        f"verification: {verdict.violations[:2]}"
+    )
+    return None
 
 
 def _service_config(config: ServiceChaosConfig) -> FormulationConfig:
@@ -345,7 +349,6 @@ def _phase_worker_kill(config: ServiceChaosConfig, root: Path) -> PhaseReport:
 def _phase_faulty_backend(config: ServiceChaosConfig, root: Path) -> PhaseReport:
     phase = PhaseReport(name="faulty-backend")
     modes = ("crash", "oom") if config.quick else ("crash", "oom", "slow", "hang")
-    breaker_cooldown = 0.5
     per_mode = max(3, min(config.requests, 4))
     solve_config = FormulationConfig(time_limit_seconds=15.0)
     sandbox = SandboxLimits(
@@ -359,13 +362,12 @@ def _phase_faulty_backend(config: ServiceChaosConfig, root: Path) -> PhaseReport
             shards=1,
             sandbox=sandbox,
             fault_plan={"highs": mode},
-            breaker_threshold=2,
-            breaker_cooldown_seconds=breaker_cooldown,
             cache_dir=None,
             deadline_seconds=config.deadline_seconds,
             max_retries=0,
         )
-        apps = _instances(config, salt=2 + mode_index, count=per_mode)
+        apps = _instances(config, salt=2 + mode_index, count=per_mode + 1)
+        fresh = apps.pop()
         with service:
             tickets = [(app, service.submit(app, solve_config)) for app in apps]
             phase.submitted += len(tickets)
@@ -375,51 +377,35 @@ def _phase_faulty_backend(config: ServiceChaosConfig, root: Path) -> PhaseReport
                 if phase.verified > before:
                     degraded += 1
             snapshot = service.metrics_snapshot()
-            breaker = snapshot["breakers"].get("highs", {})
             failures = sum(snapshot["sandbox_failures"].values())
             if failures < 2:
                 phase.problems.append(
                     f"mode {mode}: expected >=2 sandbox failures, "
                     f"saw {failures}"
                 )
-            if breaker.get("total_failures", 0) < 2:
-                phase.problems.append(
-                    f"mode {mode}: breaker never saw the failures: {breaker}"
-                )
-            # Clear the fault and wait for an idle canary probe to
-            # close the breaker — the recovery half of the contract.
+            # Clear the fault: the next fresh request must be answered
+            # by highs again, whatever the requests before it met.
             service.fault_plan.clear()
-            recovered = _wait_for(
-                lambda: service.metrics_snapshot()["breakers"]
-                .get("highs", {})
-                .get("state")
-                == "closed",
-                timeout=15.0,
+            ticket = service.submit(fresh, solve_config)
+            phase.submitted += 1
+            outcome = _resolve(
+                service, fresh, ticket, phase, config.deadline_seconds
             )
+            recovered = outcome is not None and outcome.backend == "highs"
             if not recovered:
-                state = service.metrics_snapshot()["breakers"].get("highs")
+                answered_by = outcome.backend if outcome else None
                 phase.problems.append(
-                    f"mode {mode}: breaker did not close after the fault "
-                    f"cleared: {state}"
+                    f"mode {mode}: highs did not answer once the fault "
+                    f"cleared (answered by {answered_by})"
                 )
         phase.details.setdefault("modes", {})[mode] = {
             "sandbox_failures": snapshot["sandbox_failures"],
-            "breaker": breaker,
             "recovered": recovered,
         }
     if degraded == 0:
         phase.problems.append("no request survived via a degraded rung")
     phase.details["degraded_solves"] = degraded
     return phase
-
-
-def _wait_for(predicate, timeout: float, interval: float = 0.1) -> bool:
-    deadline = time.monotonic() + timeout
-    while time.monotonic() < deadline:
-        if predicate():
-            return True
-        time.sleep(interval)
-    return bool(predicate())
 
 
 # ----------------------------------------------------------------------

@@ -19,8 +19,7 @@ one function call in a child process under three independent watchdogs:
 Every failure becomes a structured :class:`BackendFailure` carrying the
 kind, the backend, and the elapsed time — which the portfolio ladder
 (:func:`repro.runtime.solve_with_portfolio`) records on the fallback
-chain and degrades past, and the per-backend circuit breakers
-(:mod:`repro.resilience.breaker`) count.
+chain and degrades past.
 
 The child is always reaped: on any failure the supervisor SIGKILLs it
 (which also terminates *stopped* processes) and joins it, so sandboxed

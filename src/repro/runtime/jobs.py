@@ -98,7 +98,6 @@ def execute_with_retries(
     max_retries: int,
     backoff_seconds: float,
     sandbox=None,
-    skip_backends: tuple[str, ...] = (),
     fault_plan: "dict | None" = None,
 ) -> "JobOutcome | list[JobOutcome]":
     """Run one job, retrying crashes with exponential backoff.
@@ -106,10 +105,9 @@ def execute_with_retries(
     Attempt ``n`` (0-based) sleeps ``backoff_seconds * 2**n`` before
     re-executing; once the budget is exhausted the last exception
     becomes an ``ERROR`` outcome so one bad job never aborts the grid.
-    ``sandbox`` / ``skip_backends`` / ``fault_plan`` are the service's
-    resilience hooks, forwarded to solve jobs (campaign jobs run their
-    own ``execute`` and ignore them).  Module-level so it pickles into
-    pool processes.
+    ``sandbox`` / ``fault_plan`` are the service's resilience hooks,
+    forwarded to solve jobs (campaign jobs run their own ``execute``
+    and ignore them).  Module-level so it pickles into pool processes.
     """
     start = time.perf_counter()
     for attempt in range(max_retries + 1):
@@ -119,7 +117,6 @@ def execute_with_retries(
                 cache_dir,
                 deadline_seconds,
                 sandbox=sandbox,
-                skip_backends=skip_backends,
                 fault_plan=fault_plan,
             )
         except Exception as exc:
@@ -143,7 +140,6 @@ def _execute_job(
     deadline_seconds,
     *,
     sandbox=None,
-    skip_backends: tuple[str, ...] = (),
     fault_plan: "dict | None" = None,
 ) -> "JobOutcome | list[JobOutcome]":
     """Dispatch one grid job: campaign jobs run their own ``execute``,
@@ -176,7 +172,6 @@ def _execute_job(
         cache_dir=cache_dir,
         deadline_seconds=deadline_seconds,
         sandbox=sandbox,
-        skip_backends=tuple(skip_backends),
         fault_plan=fault_plan,
     )
     return JobOutcome(

@@ -67,8 +67,6 @@ def solve_with_portfolio(
     prior=None,
     *,
     sandbox=None,
-    breakers=None,
-    skip_backends: tuple[str, ...] = (),
     fault_plan: "dict | None" = None,
 ) -> AllocationResult:
     """Solve ``app`` down the rung ladder; see the module docstring.
@@ -95,11 +93,6 @@ def solve_with_portfolio(
       the fallback chain and the ladder degrades to the next rung.
       The in-process ``greedy`` rung never sandboxes — it is the
       last-resort answer and cannot hang.
-    * ``breakers`` — a :class:`repro.resilience.BreakerBoard`: rungs
-      whose breaker is open are skipped (a ``skipped`` attempt records
-      the decision), and every attempt's outcome feeds the board.
-    * ``skip_backends`` — explicit fence list (how an open breaker
-      crosses a process-pool boundary from the service).
     * ``fault_plan`` — chaos-shim modes per backend (testing only;
       applied inside the sandbox child, never in-process).
     """
@@ -151,24 +144,9 @@ def solve_with_portfolio(
                 return result
     for position, rung in enumerate(rungs):
         is_last = position == len(rungs) - 1
-        base = rung.partition("-")[0]
-        if base != "greedy":
-            fenced = base in skip_backends
-            if not fenced and breakers is not None:
-                fenced = not breakers.allow(base)
-            if fenced:
-                attempts.append(
-                    FallbackAttempt(
-                        backend=rung,
-                        status="skipped",
-                        reason="circuit breaker open",
-                    )
-                )
-                result = None
-                continue
         start = time.perf_counter()
         try:
-            if sandbox is not None and base != "greedy":
+            if sandbox is not None and rung.partition("-")[0] != "greedy":
                 result = _run_rung_sandboxed(
                     app, config, rung, sandbox, shared, fault_plan
                 )
@@ -183,8 +161,6 @@ def solve_with_portfolio(
                     reason=exc.detail or str(exc),
                 )
             )
-            if breakers is not None:
-                breakers.record_failure(base)
             result = None
             continue  # a last-rung sandbox failure degrades to ERROR below
         except Exception as exc:
@@ -197,18 +173,11 @@ def solve_with_portfolio(
                     reason=f"{type(exc).__name__}: {exc}",
                 )
             )
-            if breakers is not None:
-                breakers.record_failure(base)
             if is_last:
                 raise
             result = None
             continue
         accepted = result.status in _ACCEPTED
-        if breakers is not None:
-            if accepted:
-                breakers.record_success(base)
-            else:
-                breakers.record_failure(base)
         attempts.append(
             FallbackAttempt(
                 backend=rung,
@@ -220,7 +189,7 @@ def solve_with_portfolio(
         if accepted or is_last:
             break
         result = None
-    if result is None:  # no rung produced a result (raised/failed/skipped)
+    if result is None:  # no rung produced a result (raised or failed)
         result = AllocationResult(status=SolveStatus.ERROR)
     result.backend = attempts[-1].backend
     result.fallback_chain = tuple(attempts)

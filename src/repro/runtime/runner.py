@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import os
 import signal
-import sys
 import threading
 import time
 
@@ -231,9 +230,6 @@ class ExperimentRunner:
             deadline_seconds=self.deadline_seconds,
             max_retries=self.max_retries,
             retry_backoff_seconds=self.retry_backoff_seconds,
-            # A grid point tries every rung it asks for, whatever its
-            # neighbours did: the circuit breakers never trip here.
-            breaker_threshold=sys.maxsize,
         )
         with service:
             self._run_via_client(InProcessClient(service), jobs, outcomes)

@@ -54,8 +54,6 @@ class ServiceMetrics:
         self.failed = 0
         self.cache_hits = 0
         self.pool_rebuilds = 0
-        self.probes = 0
-        self.probe_failures = 0
         self.sandbox_failures: dict[str, int] = {}
         self.by_backend: dict[str, int] = {}
         self.by_status: dict[str, int] = {}
@@ -85,13 +83,6 @@ class ServiceMetrics:
         """Count one process-pool rebuild after a worker death."""
         with self._lock:
             self.pool_rebuilds += 1
-
-    def record_probe(self, ok: bool) -> None:
-        """Count one circuit-breaker canary probe (and its verdict)."""
-        with self._lock:
-            self.probes += 1
-            if not ok:
-                self.probe_failures += 1
 
     def record_sandbox_failures(self, kinds) -> None:
         """Count sandboxed backend failures by kind (timeout/hang/...)."""
@@ -127,18 +118,8 @@ class ServiceMetrics:
 
     # -- reads ----------------------------------------------------------
 
-    def snapshot(
-        self,
-        queue_depth: "int | None" = None,
-        breakers: "dict | None" = None,
-    ) -> dict:
-        """One JSON-safe health sample (the ``--status`` payload).
-
-        ``breakers`` is the service's
-        :meth:`repro.resilience.BreakerBoard.snapshot` — per-backend
-        circuit state folded into the same payload so one ``--status``
-        call shows traffic *and* which backends are fenced off.
-        """
+    def snapshot(self, queue_depth: "int | None" = None) -> dict:
+        """One JSON-safe health sample (the ``--status`` payload)."""
         with self._lock:
             total = max(1, self.submitted)
             done = self.completed + self.failed
@@ -158,10 +139,7 @@ class ServiceMetrics:
                 "latency_p95_seconds": percentile(self._latencies, 0.95),
                 "queue_delay_p95_seconds": percentile(self._queue_delays, 0.95),
                 "pool_rebuilds": self.pool_rebuilds,
-                "probes": self.probes,
-                "probe_failures": self.probe_failures,
                 "sandbox_failures": dict(self.sandbox_failures),
-                "breakers": dict(breakers or {}),
                 "by_backend": dict(self.by_backend),
                 "by_status": dict(self.by_status),
             }
@@ -172,16 +150,12 @@ class ServiceMetrics:
             }
             return snapshot
 
-    def to_record(
-        self,
-        queue_depth: "int | None" = None,
-        breakers: "dict | None" = None,
-    ) -> dict:
+    def to_record(self, queue_depth: "int | None" = None) -> dict:
         """The periodic ``event: "service_metrics"`` telemetry record."""
         return {
             "schema_version": TELEMETRY_SCHEMA_VERSION,
             "event": "service_metrics",
-            **self.snapshot(queue_depth=queue_depth, breakers=breakers),
+            **self.snapshot(queue_depth=queue_depth),
         }
 
 
@@ -212,27 +186,10 @@ def render_service_metrics(snapshot: dict) -> str:
     ]
     if snapshot.get("pool_rebuilds"):
         rows.append(("pool rebuilds", str(snapshot["pool_rebuilds"])))
-    if snapshot.get("probes"):
-        rows.append(
-            (
-                "canary probes",
-                f"{snapshot['probes']} "
-                f"({snapshot.get('probe_failures', 0)} failed)",
-            )
-        )
     for kind, count in sorted(
         (snapshot.get("sandbox_failures") or {}).items()
     ):
         rows.append((f"sandbox failures: {kind}", str(count)))
-    for backend, state in sorted((snapshot.get("breakers") or {}).items()):
-        rows.append(
-            (
-                f"breaker: {backend}",
-                f"{state.get('state', '?')} "
-                f"({state.get('consecutive_failures', 0)} consecutive, "
-                f"{state.get('total_failures', 0)} total failures)",
-            )
-        )
     for backend, share in sorted(
         (snapshot.get("backend_share") or {}).items()
     ):

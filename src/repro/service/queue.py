@@ -12,6 +12,12 @@ through the lifecycle::
        │  cancel)
        └──────────▶ CANCELLED
 
+A submission joins a PENDING or RUNNING entry, or a DONE entry whose
+answer is proven (:data:`repro.io.cache.CACHEABLE_STATUSES`, the rule
+the persistent cache applies).  A FAILED, CANCELLED or unproven DONE
+entry is replaced by a fresh PENDING one, so an answer never depends
+on what an earlier submission of the same instance met.
+
 The queue is **bounded**: ``capacity`` caps pending + running entries
 and :meth:`JobQueue.submit` raises :class:`QueueFull` beyond it —
 honest backpressure instead of unbounded memory growth.  It is **one
@@ -42,6 +48,7 @@ from pathlib import Path
 
 from repro.api import SolveOutcome, SolveRequest, request_from_dict, request_to_dict
 from repro.defaults import DEFAULT_RETRY_AFTER_SECONDS
+from repro.io.cache import CACHEABLE_STATUSES
 from repro.runtime.telemetry import record_crc, verify_record
 
 __all__ = ["JobState", "Job", "JobQueue", "QueueFull"]
@@ -88,8 +95,8 @@ class Job:
             construction to every other submitter's, minus labels).
         instance: Content hash (the queue key and service ticket).
         state: Current :class:`JobState`.
-        waiters: Live submissions awaiting the result; cancellation
-            decrements it.
+        waiters: Submissions sharing the entry, the first included;
+            cancellation decrements it.
         outcome: The shared :class:`~repro.api.SolveOutcome` once DONE.
         error: The failure description once FAILED.
         submitted_s / started_s / finished_s: Monotonic timestamps for
@@ -121,6 +128,17 @@ class Job:
             return self.finished_s - self.submitted_s
         return 0.0
 
+    @property
+    def joinable(self) -> bool:
+        """Whether a new submission may share this entry: it is still
+        pending or running, or it is DONE with a proven answer."""
+        if self.state in (JobState.PENDING, JobState.RUNNING):
+            return True
+        return (
+            self.state is JobState.DONE
+            and self.outcome.result.status in CACHEABLE_STATUSES
+        )
+
 
 class JobQueue:
     """Bounded, content-addressed FIFO job store (thread-safe)."""
@@ -147,20 +165,20 @@ class JobQueue:
     def submit(self, request: SolveRequest) -> tuple[Job, bool]:
         """Enqueue (or join) the job for ``request``.
 
-        Returns ``(job, deduped)`` where ``deduped`` is True when an
-        entry for the same instance hash already existed — the caller
-        became an extra waiter on the shared solve (or got an
-        already-finished entry for free).  Raises :class:`QueueFull`
-        when a *new* entry would exceed capacity.
+        Returns ``(job, deduped)`` where ``deduped`` is True when the
+        caller joined a :attr:`~Job.joinable` entry for the same
+        instance hash as one more waiter — on the shared solve, or on
+        its proven answer.  Any other existing entry is replaced by a
+        fresh one.  Raises :class:`QueueFull` when a *new* entry would
+        exceed capacity.
         """
         instance = request.instance
         with self._lock:
             if self._closed:
                 raise RuntimeError("queue is closed")
             job = self._jobs.get(instance)
-            if job is not None and job.state is not JobState.CANCELLED:
-                if job.state in (JobState.PENDING, JobState.RUNNING):
-                    job.waiters += 1
+            if job is not None and job.joinable:
+                job.waiters += 1
                 return job, True
             if self._active_count() >= self.capacity:
                 raise QueueFull(self.capacity, self._active_count())

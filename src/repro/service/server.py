@@ -46,15 +46,12 @@ from repro.api import (
 )
 from repro.core.formulation import FormulationConfig
 from repro.defaults import (
-    DEFAULT_BREAKER_COOLDOWN_SECONDS,
-    DEFAULT_BREAKER_THRESHOLD,
     DEFAULT_QUEUE_CAPACITY,
     DEFAULT_SERVICE_HOST,
     DEFAULT_SERVICE_SHARDS,
     DEFAULT_SOLVE_BACKEND,
 )
 from repro.model.application import Application
-from repro.resilience.breaker import BreakerBoard, run_canary_probe
 from repro.resilience.shim import validate_fault_plan
 from repro.runtime.jobs import SolveJob, execute_with_retries
 from repro.runtime.telemetry import TelemetryWriter
@@ -136,10 +133,6 @@ class SolveService:
             set, every MILP portfolio rung runs in a supervised child
             process and hang/crash/OOM/timeout degrade the ladder
             instead of wedging a dispatcher.
-        breaker_threshold / breaker_cooldown_seconds: Circuit-breaker
-            tuning — consecutive failures that fence a backend off,
-            and how long before a half-open trial (live request or
-            idle-time canary probe) may restore it.
         fault_plan: ``{backend: mode}`` chaos fault injection (testing
             only; requires ``sandbox``); see
             :mod:`repro.resilience.shim`.
@@ -159,8 +152,6 @@ class SolveService:
         use_processes: bool = False,
         metrics_interval_seconds: "float | None" = None,
         sandbox=None,
-        breaker_threshold: int = DEFAULT_BREAKER_THRESHOLD,
-        breaker_cooldown_seconds: float = DEFAULT_BREAKER_COOLDOWN_SECONDS,
         fault_plan: "dict | None" = None,
     ):
         if shards < 1:
@@ -176,10 +167,6 @@ class SolveService:
         self.use_processes = use_processes
         self.metrics_interval_seconds = metrics_interval_seconds
         self.sandbox = sandbox
-        self.breakers = BreakerBoard(
-            failure_threshold=breaker_threshold,
-            cooldown_seconds=breaker_cooldown_seconds,
-        )
         self.fault_plan = validate_fault_plan(fault_plan)
         self._telemetry_lock = threading.Lock()
         self._warm_lock = threading.Lock()
@@ -232,11 +219,7 @@ class SolveService:
             if self._pool is not None:
                 self._pool.shutdown(wait=False, cancel_futures=True)
                 self._pool = None
-        self._write_telemetry(
-            self.metrics.to_record(
-                self.queue.depth(), breakers=self.breakers.snapshot()
-            )
-        )
+        self._write_telemetry(self.metrics.to_record(self.queue.depth()))
         self._started = False
 
     def __enter__(self) -> "SolveService":
@@ -325,9 +308,7 @@ class SolveService:
 
     def metrics_snapshot(self) -> dict:
         """The live health sample (``letdma serve --status``)."""
-        return self.metrics.snapshot(
-            queue_depth=self.queue.depth(), breakers=self.breakers.snapshot()
-        )
+        return self.metrics.snapshot(queue_depth=self.queue.depth())
 
     # -- worker side ----------------------------------------------------
 
@@ -335,7 +316,6 @@ class SolveService:
         while not self._stop.is_set():
             entry = self.queue.claim(timeout=0.2)
             if entry is None:
-                self._probe_breakers()
                 continue
             request = entry.request
             job = SolveJob(
@@ -355,7 +335,6 @@ class SolveService:
                 self._account(entry, None, failed=True)
                 self.queue.fail(entry, f"{type(exc).__name__}: {exc}")
                 continue
-            self.breakers.observe(outcome.result.fallback_chain)
             self.metrics.record_sandbox_failures(
                 _sandbox_failure_kinds(outcome.result.fallback_chain)
             )
@@ -381,12 +360,10 @@ class SolveService:
     def _execute(self, job: SolveJob):
         """Run one claimed job, in the dispatcher thread or the pool.
 
-        The circuit-breaker skip list is sampled per job and crosses the
-        pool boundary by value.  A broken pool (a worker SIGKILLed
-        mid-flight) is rebuilt and the job retried exactly once —
-        solves are deterministic and content-addressed, so a replay is
-        always safe; a second failure propagates and the dispatcher
-        fails the job typed.
+        A broken pool (a worker SIGKILLed mid-flight) is rebuilt and
+        the job retried exactly once — solves are deterministic and
+        content-addressed, so a replay is always safe; a second failure
+        propagates and the dispatcher fails the job typed.
         """
         args = (
             job,
@@ -395,7 +372,6 @@ class SolveService:
             self.max_retries,
             self.retry_backoff_seconds,
             self.sandbox,
-            tuple(self.breakers.open_backends()),
             dict(self.fault_plan) or None,
         )
         if not self.use_processes:
@@ -423,23 +399,6 @@ class SolveService:
             broken.shutdown(wait=False, cancel_futures=True)
             self._pool = ProcessPoolExecutor(max_workers=self.shards)
         self.metrics.record_pool_rebuild()
-
-    def _probe_breakers(self) -> None:
-        """Canary-probe open breakers whose cooldown elapsed (idle path).
-
-        :meth:`BreakerBoard.due_probes` atomically claims each due
-        backend (moving it half-open), so concurrent idle dispatchers
-        never double-probe.  The probe solves a tiny fixed instance the
-        same way live traffic would run; success closes the breaker.
-        """
-        for backend in self.breakers.due_probes():
-            ok = run_canary_probe(
-                backend,
-                sandbox=self.sandbox,
-                fault_plan=self.fault_plan,
-            )
-            self.breakers.note_probe(backend, ok)
-            self.metrics.record_probe(ok)
 
     # -- family warm routing -------------------------------------------
 
@@ -495,11 +454,7 @@ class SolveService:
     def _metrics_loop(self) -> None:
         interval = self.metrics_interval_seconds
         while not self._stop.wait(interval):
-            self._write_telemetry(
-                self.metrics.to_record(
-                    self.queue.depth(), breakers=self.breakers.snapshot()
-                )
-            )
+            self._write_telemetry(self.metrics.to_record(self.queue.depth()))
 
     def _write_telemetry(self, record: dict) -> None:
         if self.telemetry is None:

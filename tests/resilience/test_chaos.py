@@ -19,7 +19,7 @@ def test_phase_report_buckets_decide_ok():
     phase.lost = 1
     assert not phase.ok
     phase.lost = 0
-    phase.problems.append("breaker never closed")
+    phase.problems.append("highs never answered again")
     assert not phase.ok
 
 

@@ -1,12 +1,12 @@
 """The sandboxed portfolio ladder: injected infrastructure failures
-degrade to the next rung, breakers fence repeat offenders, and the
-provenance chain records every step."""
+degrade to the next rung, and the provenance chain records every
+step."""
 
 import pytest
 
 from repro.core import FormulationConfig, Objective
 from repro.milp.result import SolveStatus
-from repro.resilience import BreakerBoard, SandboxLimits
+from repro.resilience import SandboxLimits
 from repro.runtime.portfolio import solve_with_portfolio
 from repro.workloads import WorkloadSpec, generate_application
 
@@ -54,42 +54,6 @@ def test_all_exact_rungs_crashing_lands_on_greedy(app):
     assert [status for _, status in chain_of(result)[:2]] == [
         "sandbox-crash",
         "sandbox-crash",
-    ]
-
-
-def test_breaker_opens_and_rungs_are_skipped(app):
-    breakers = BreakerBoard(failure_threshold=2, cooldown_seconds=60.0)
-    for _ in range(2):
-        result = solve_with_portfolio(
-            app,
-            config(),
-            sandbox=SandboxLimits(),
-            breakers=breakers,
-            fault_plan={"highs": "crash"},
-        )
-        assert chain_of(result)[0] == ("highs", "sandbox-crash")
-    assert breakers.open_backends() == frozenset({"highs"})
-    # Third solve: the fenced rung is skipped without paying the
-    # sandbox deadline, and the answer still arrives.
-    result = solve_with_portfolio(
-        app,
-        config(),
-        sandbox=SandboxLimits(),
-        breakers=breakers,
-        fault_plan={"highs": "crash"},
-    )
-    assert chain_of(result)[0] == ("highs", "skipped")
-    assert result.status is SolveStatus.OPTIMAL
-
-
-def test_skip_backends_crosses_by_value(app):
-    result = solve_with_portfolio(
-        app, config(), skip_backends=("highs", "bnb")
-    )
-    assert result.backend == "greedy"
-    assert [status for _, status in chain_of(result)[:2]] == [
-        "skipped",
-        "skipped",
     ]
 
 

@@ -15,8 +15,8 @@ def request_for(app, gap=0.0):
     return SolveRequest(app=app, config=FormulationConfig(mip_gap=gap))
 
 
-def fake_outcome(instance):
-    result = AllocationResult(status=SolveStatus.OPTIMAL)
+def fake_outcome(instance, status=SolveStatus.OPTIMAL):
+    result = AllocationResult(status=status)
     return SolveOutcome(instance=instance, result=result, record={})
 
 
@@ -67,6 +67,30 @@ class TestSubmit:
         assert deduped
         assert again.state is JobState.DONE
         assert again.outcome is not None
+
+    def test_resubmit_after_failure_gets_a_fresh_entry(self, simple_app):
+        queue = JobQueue()
+        job, _ = queue.submit(request_for(simple_app))
+        queue.fail(queue.claim(), "pool broke twice")
+        again, deduped = queue.submit(request_for(simple_app))
+        assert not deduped
+        assert again is not job
+        assert again.state is JobState.PENDING
+        assert queue.claim(timeout=0.01) is again
+
+    def test_resubmit_after_unproven_answer_gets_a_fresh_entry(
+        self, simple_app
+    ):
+        queue = JobQueue()
+        job, _ = queue.submit(request_for(simple_app))
+        queue.finish(
+            queue.claim(), fake_outcome(job.instance, SolveStatus.FEASIBLE)
+        )
+        again, deduped = queue.submit(request_for(simple_app))
+        assert not deduped
+        assert again is not job
+        assert again.state is JobState.PENDING
+        assert queue.claim(timeout=0.01) is again
 
 
 class TestClaim:

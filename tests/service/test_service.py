@@ -104,15 +104,106 @@ class TestDedup:
         with SolveService(shards=1, telemetry=str(telemetry)) as service:
             client = InProcessClient(service)
             first = client.solve(
+                simple_app, greedy_config(), backend="highs", timeout=60
+            )
+            again = client.solve(
+                simple_app, greedy_config(), backend="highs", timeout=60
+            )
+            assert first.status == "optimal"
+            assert again.instance == first.instance
+            assert again.result.objective_value == first.result.objective_value
+            assert service.metrics_snapshot()["dedup_hits"] == 1
+        assert len(solve_records(telemetry, instance=first.instance)) == 1
+
+    def test_answer_from_done_entry_reads_deduped(self, simple_app):
+        with SolveService(shards=1) as service:
+            client = InProcessClient(service)
+            first = client.solve(
+                simple_app, greedy_config(), backend="highs", timeout=60
+            )
+            again = client.solve(
+                simple_app, greedy_config(), backend="highs", timeout=60
+            )
+            assert first.status == "optimal"
+            assert again.deduped is True
+            assert service.metrics_snapshot()["dedup_hits"] == 1
+
+    def test_unproven_answer_is_solved_again(self, simple_app, tmp_path):
+        telemetry = tmp_path / "runs"
+        with SolveService(shards=1, telemetry=str(telemetry)) as service:
+            client = InProcessClient(service)
+            first = client.solve(
                 simple_app, greedy_config(), backend="greedy", timeout=60
             )
             again = client.solve(
                 simple_app, greedy_config(), backend="greedy", timeout=60
             )
-            assert again.instance == first.instance
-            assert again.result.objective_value == first.result.objective_value
-            assert service.metrics_snapshot()["dedup_hits"] == 1
-        assert len(solve_records(telemetry, instance=first.instance)) == 1
+            assert first.status == again.status == "feasible"
+            assert not again.deduped
+            assert service.metrics_snapshot()["dedup_hits"] == 0
+        assert len(solve_records(telemetry, instance=first.instance)) == 2
+
+    def test_failed_entry_is_solved_again(self, simple_app, monkeypatch):
+        with SolveService(shards=1) as service:
+            execute = service._execute
+            calls = []
+
+            def fail_once(job):
+                calls.append(job.job_id)
+                if len(calls) == 1:
+                    raise RuntimeError("pool broke twice")
+                return execute(job)
+
+            monkeypatch.setattr(service, "_execute", fail_once)
+            client = InProcessClient(service)
+            with pytest.raises(ServiceError, match="pool broke twice"):
+                client.solve(
+                    simple_app, greedy_config(), backend="highs", timeout=60
+                )
+            again = client.solve(
+                simple_app, greedy_config(), backend="highs", timeout=60
+            )
+            assert again.status == "optimal"
+            assert len(calls) == 2
+
+
+class TestRequestIndependence:
+    def test_answer_does_not_depend_on_the_requests_before_it(self):
+        """Requests whose exact rungs time out leave no trace on the
+        rungs a later request tries."""
+        hard = [
+            SolveRequest(
+                app=generate_application(
+                    WorkloadSpec(
+                        num_tasks=4,
+                        num_cores=2,
+                        total_utilization=0.5,
+                        communication_density=0.6,
+                        periods_ms=(5, 10, 20),
+                        seed=seed,
+                    )
+                ),
+                config=FormulationConfig(time_limit_seconds=1e-4),
+            )
+            for seed in (7, 8, 9)
+        ]
+        easy = SolveRequest(
+            app=generate_application(
+                WorkloadSpec(
+                    num_tasks=3, num_cores=2, communication_density=0.8, seed=5
+                )
+            ),
+            config=FormulationConfig(objective=Objective.MIN_TRANSFERS),
+        )
+        with SolveService(shards=1) as service:
+            for request in hard:
+                outcome = service.result(
+                    service.submit_request(request), timeout=120
+                )
+                assert outcome.backend == "greedy"
+            outcome = service.result(service.submit_request(easy), timeout=120)
+        chain = [(a.backend, a.status) for a in outcome.result.fallback_chain]
+        assert chain == [("highs", "optimal")]
 
 
 class TestFifoDispatch:
